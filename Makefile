@@ -2,8 +2,9 @@
 # formatting, vet, build, the full test suite, the race detector over the
 # packages with concurrency (the par worker layer, the parallel tensor/nn
 # kernels, the overlapped core pipeline, the obs collector and the
-# multi-stream serving layer), and a short coverage-guided fuzz pass over
-# the bitstream decoders.
+# multi-stream serving layer, plus the experiments test that runs one NN-S
+# per suite worker), and a short coverage-guided fuzz pass over the
+# bitstream decoders.
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/batch ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt
@@ -27,6 +28,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run '^TestAblationInt8WithinBudget$$' ./internal/experiments
 
 # Short coverage-guided runs of the decoder fuzz targets; regressions the
 # fuzzer has found live in internal/codec/testdata/fuzz and are replayed by

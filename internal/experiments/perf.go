@@ -382,10 +382,6 @@ func (h *Harness) AblationInt8() (fp32F, fp32J, int8F, int8J float64, err error)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	qnet, err := nn.NewInt8RefineNet(nns.Clone(), calib)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
 
 	suite := h.Suite()
 	type acc struct{ ff, fj, qf, qj float64 }
@@ -393,6 +389,12 @@ func (h *Harness) AblationInt8() (fp32F, fp32J, int8F, int8J float64, err error)
 	err = h.forEach(len(suite), func(i int) error {
 		v := suite[i]
 		res, err := h.RunVRDANNNet(v, h.Cfg.Enc, nns.Clone())
+		if err != nil {
+			return err
+		}
+		// Layers keep per-call scratch, so each worker quantizes its own
+		// clone; calibration is deterministic, so every copy is the same.
+		qnet, err := nn.NewInt8RefineNet(nns.Clone(), calib)
 		if err != nil {
 			return err
 		}

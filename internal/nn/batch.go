@@ -12,48 +12,27 @@ import (
 // coalesces NN work from many streams into one fused execution per layer —
 // the software reading of the paper's agent unit, which reorders work to
 // minimize NN-L/NN-S kernel switching. A batch of n CHW items is packed
-// item-major into one wide tensor ([n*C, H, W]); convolutions lower the
-// whole batch into a single column-concatenated patch matrix and run ONE
-// MatMul per layer, and the channel-independent layers (pool, upsample,
-// ReLU) treat the wide tensor as just more channels.
+// item-major into one wide tensor ([n*C, H, W]); each convolution is one
+// call of the direct kernel tensor.Conv2DInto over the whole batch (output
+// rows of all items split across cores), and the channel-independent
+// layers (pool, upsample, ReLU) treat the wide tensor as just more
+// channels.
 //
 // Two invariants carry the whole design:
 //
-//  1. Bit identity. Every output element of the wide MatMul is produced by
-//     the same serial accumulation order over the same values as the
-//     per-item MatMul (column concatenation adds columns, never reorders a
-//     column's dot product), and every other layer is element- or
-//     channel-local. A batched forward is therefore bitwise equal to n
-//     serial forwards at any batch size.
+//  1. Bit identity. The kernel produces every output element of item i
+//     from item i's input alone, with the same accumulation order as the
+//     serial forward (which runs the same kernel), and every other layer is
+//     element- or channel-local. A batched forward is therefore bitwise
+//     equal to n serial forwards at any batch size.
 //  2. No steady-state allocation. All intermediates live in pooled scratch
 //     buffers (par.GetFloats) owned by the network instance and reused
-//     across flushes — the per-frame ~1.6 MB of garbage the serial forward
-//     allocates is what the batched path exists to eliminate.
+//     across flushes, the kernels reuse each layer's padded-input scratch,
+//     and the serial fallbacks run before any parallel closure is built.
+//     TestForwardBatchZeroAlloc pins this.
 //
 // Batched forwards are inference-only (no activation caches for Backward)
 // and, like the serial path, not safe for concurrent use of one instance.
-
-// ensureBatch returns a tensor of the given shape backed by pooled memory,
-// reusing *t in place when its backing size already matches (only the
-// shape header is rebuilt). Contents are arbitrary; every user overwrites
-// all elements.
-func ensureBatch(t **tensor.Tensor, shape ...int) *tensor.Tensor {
-	numel := 1
-	for _, d := range shape {
-		numel *= d
-	}
-	if *t != nil && len((*t).Data) == numel {
-		// Rebuild the shape header in place: allocation-free, and the data
-		// (which every user overwrites) is untouched.
-		(*t).Shape = append((*t).Shape[:0], shape...)
-		return *t
-	}
-	if *t != nil {
-		par.PutFloats((*t).Data)
-	}
-	*t = tensor.FromSlice(par.GetFloats(numel), shape...)
-	return *t
-}
 
 // ForwardBatch runs the convolution over a batch of n items packed
 // item-major into x ([n*InC, H, W]) and returns [n*OutC, outH, outW],
@@ -66,36 +45,15 @@ func (c *Conv2D) ForwardBatch(x *tensor.Tensor, n int) *tensor.Tensor {
 	outH := tensor.ConvOutSize(x.Shape[1], c.KH, c.Stride, c.Pad)
 	outW := tensor.ConvOutSize(x.Shape[2], c.KW, c.Stride, c.Pad)
 	dst := tensor.New(n*c.OutC, outH, outW)
-	c.forwardBatchInto(dst, x, n)
+	c.forwardBatchInto(dst, x)
 	return dst
 }
 
 // forwardBatchInto is ForwardBatch writing into a caller-owned
-// [n*OutC, outH, outW] tensor, with the patch matrix and GEMM output held
-// in the layer's pooled scratch.
-func (c *Conv2D) forwardBatchInto(dst, x *tensor.Tensor, n int) {
-	h, w := x.Shape[1], x.Shape[2]
-	outH := tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
-	outW := tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
-	rows, oHW := c.InC*c.KH*c.KW, outH*outW
-	cols := ensureBatch(&c.batchCols, rows, n*oHW)
-	tensor.Im2ColBatchInto(cols, x, n, c.KH, c.KW, c.Stride, c.Pad)
-	mm := ensureBatch(&c.batchMM, c.OutC, n*oHW)
-	tensor.MatMulInto(mm, c.Weight.Reshape(c.OutC, rows), cols)
-	// The wide GEMM leaves the batch in [OutC, n*oHW] (output-channel-major)
-	// layout; re-pack item-major so the next layer sees each item's channels
-	// contiguously, fusing the bias add (one add per element, exactly as the
-	// serial path) into the copy.
-	for i := 0; i < n; i++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			src := mm.Data[oc*n*oHW+i*oHW : oc*n*oHW+(i+1)*oHW]
-			out := dst.Data[(i*c.OutC+oc)*oHW : (i*c.OutC+oc+1)*oHW]
-			b := c.Bias.Data[oc]
-			for j, v := range src {
-				out[j] = v + b
-			}
-		}
-	}
+// [n*OutC, outH, outW] tensor; the kernel takes the item-major batch as is
+// and reuses the layer's scratch.
+func (c *Conv2D) forwardBatchInto(dst, x *tensor.Tensor) {
+	tensor.Conv2DInto(dst, x, c.Weight, c.Bias, c.Stride, c.Pad, &c.scratch)
 }
 
 // reluInPlace applies max(0, v) in place with the exact comparison the
@@ -116,47 +74,68 @@ func reluInPlace(x *tensor.Tensor) {
 // [n*C, H, W] layout needs no special handling.
 func maxPool2Batch(dst, x *tensor.Tensor) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+	// Serial fast path before the closure literal, as in maxPool2BatchI8.
+	grain := par.Grain(c, h*w, par.MinWorkFloats)
+	if grain >= c || par.MaxWorkers() == 1 {
+		maxPool2Rows(dst, x, 0, c)
+		return
+	}
+	par.For(c, grain, func(clo, chi int) {
+		maxPool2Rows(dst, x, clo, chi)
+	})
+}
+
+func maxPool2Rows(dst, x *tensor.Tensor, clo, chi int) {
+	h, w := x.Shape[1], x.Shape[2]
 	oh, ow := h/2, w/2
-	par.For(c, par.Grain(c, h*w, par.MinWorkFloats), func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					base := (ch*h+oy*2)*w + ox*2
-					best := x.Data[base]
-					for dy := 0; dy < 2; dy++ {
-						for dx := 0; dx < 2; dx++ {
-							if v := x.Data[base+dy*w+dx]; v > best {
-								best = v
-							}
+	for ch := clo; ch < chi; ch++ {
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				base := (ch*h+oy*2)*w + ox*2
+				best := x.Data[base]
+				for dy := 0; dy < 2; dy++ {
+					for dx := 0; dx < 2; dx++ {
+						if v := x.Data[base+dy*w+dx]; v > best {
+							best = v
 						}
 					}
-					dst.Data[(ch*oh+oy)*ow+ox] = best
 				}
+				dst.Data[(ch*oh+oy)*ow+ox] = best
 			}
 		}
-	})
+	}
 }
 
 // upsample2Batch is Upsample2.Forward (nearest-neighbor ×2) over a wide
 // batch tensor; like pooling it is channel-local.
 func upsample2Batch(dst, x *tensor.Tensor) {
 	c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
-	par.For(c, par.Grain(c, 4*h*w, par.MinWorkFloats), func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			for y := 0; y < h; y++ {
-				srcRow := (ch*h + y) * w
-				for x2 := 0; x2 < w; x2++ {
-					v := x.Data[srcRow+x2]
-					d0 := (ch*h*2+y*2)*w*2 + x2*2
-					d1 := d0 + w*2
-					dst.Data[d0] = v
-					dst.Data[d0+1] = v
-					dst.Data[d1] = v
-					dst.Data[d1+1] = v
-				}
+	grain := par.Grain(c, 4*h*w, par.MinWorkFloats)
+	if grain >= c || par.MaxWorkers() == 1 {
+		upsample2Rows(dst, x, 0, c)
+		return
+	}
+	par.For(c, grain, func(clo, chi int) {
+		upsample2Rows(dst, x, clo, chi)
+	})
+}
+
+func upsample2Rows(dst, x *tensor.Tensor, clo, chi int) {
+	h, w := x.Shape[1], x.Shape[2]
+	for ch := clo; ch < chi; ch++ {
+		for y := 0; y < h; y++ {
+			srcRow := (ch*h + y) * w
+			for x2 := 0; x2 < w; x2++ {
+				v := x.Data[srcRow+x2]
+				d0 := (ch*h*2+y*2)*w*2 + x2*2
+				d1 := d0 + w*2
+				dst.Data[d0] = v
+				dst.Data[d0+1] = v
+				dst.Data[d1] = v
+				dst.Data[d1+1] = v
 			}
 		}
-	})
+	}
 }
 
 // concatChannelsBatch interleaves two item-major batch tensors along the
@@ -191,24 +170,24 @@ func (n *RefineNet) ForwardBatch(x *tensor.Tensor, items int) *tensor.Tensor {
 	f := n.Features
 	sc := &n.bsc
 	t := n.obs.Clock()
-	skip := ensureBatch(&sc.skip, items*f, h, w)
-	n.Conv1.forwardBatchInto(skip, x, items)
+	skip := ensureF3(&sc.skip, items*f, h, w)
+	n.Conv1.forwardBatchInto(skip, x)
 	n.obs.Span(obs.StageNNSConv1, -1, obs.KindNone, t)
 	reluInPlace(skip) // in place: conv1's raw output is never read again
-	down := ensureBatch(&sc.down, items*f, h/2, w/2)
+	down := ensureF3(&sc.down, items*f, h/2, w/2)
 	maxPool2Batch(down, skip)
 	t = n.obs.Clock()
-	mid := ensureBatch(&sc.mid, items*f, h/2, w/2)
-	n.Conv2.forwardBatchInto(mid, down, items)
+	mid := ensureF3(&sc.mid, items*f, h/2, w/2)
+	n.Conv2.forwardBatchInto(mid, down)
 	n.obs.Span(obs.StageNNSConv2, -1, obs.KindNone, t)
 	reluInPlace(mid)
-	up := ensureBatch(&sc.up, items*f, h, w)
+	up := ensureF3(&sc.up, items*f, h, w)
 	upsample2Batch(up, mid)
-	cat := ensureBatch(&sc.cat, items*2*f, h, w)
+	cat := ensureF3(&sc.cat, items*2*f, h, w)
 	concatChannelsBatch(cat, skip, up, items)
 	t = n.obs.Clock()
-	out := ensureBatch(&sc.out, items, h, w)
-	n.Conv3.forwardBatchInto(out, cat, items)
+	out := ensureF3(&sc.out, items, h, w)
+	n.Conv3.forwardBatchInto(out, cat)
 	n.obs.Span(obs.StageNNSConv3, -1, obs.KindNone, t)
 	return out
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"vrdann/internal/tensor"
@@ -18,24 +19,32 @@ func randTensor(rng *rand.Rand, shape ...int) *tensor.Tensor {
 }
 
 // TestConvForwardBatchBitIdentical pins Conv2D.ForwardBatch to n serial
-// Forward calls bitwise, across batch sizes — the invariant the dynamic
-// batching engine relies on.
+// Forward calls bitwise, across batch sizes, kernel sizes, strides,
+// paddings and channel counts off the kernel's four-channel register
+// block — the invariant the dynamic batching engine relies on.
 func TestConvForwardBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	conv := NewConv2D(rng, 3, 4, 3, 1, 1)
-	serial := NewConv2D(rand.New(rand.NewSource(0)), 3, 4, 3, 1, 1)
-	copyParams(t, serial, conv)
-	for _, n := range []int{1, 2, 4, 8} {
-		x := randTensor(rng, n*3, 8, 6)
-		got := conv.ForwardBatch(x, n)
-		oHW := got.Shape[1] * got.Shape[2]
-		for i := 0; i < n; i++ {
-			item := tensor.FromSlice(x.Data[i*3*8*6:(i+1)*3*8*6], 3, 8, 6)
-			want := serial.Forward(item)
-			for j := range want.Data {
-				if got.Data[i*4*oHW+j] != want.Data[j] {
-					t.Fatalf("n=%d item %d elem %d: batched %v != serial %v",
-						n, i, j, got.Data[i*4*oHW+j], want.Data[j])
+	for _, g := range []struct{ inC, outC, k, stride, pad, h, w int }{
+		{3, 4, 3, 1, 1, 8, 6},
+		{1, 1, 3, 1, 1, 9, 7},
+		{3, 5, 3, 2, 1, 11, 9},
+		{2, 7, 5, 1, 2, 7, 13},
+		{5, 4, 1, 2, 0, 9, 9},
+		{6, 9, 5, 2, 0, 13, 11},
+	} {
+		conv := NewConv2D(rng, g.inC, g.outC, g.k, g.stride, g.pad)
+		serial := NewConv2D(rand.New(rand.NewSource(0)), g.inC, g.outC, g.k, g.stride, g.pad)
+		copyParams(t, serial, conv)
+		for _, n := range []int{1, 2, 3, 4, 8} {
+			x := randTensor(rng, n*g.inC, g.h, g.w)
+			got := conv.ForwardBatch(x, n)
+			item := g.inC * g.h * g.w
+			for i := 0; i < n; i++ {
+				want := serial.Forward(tensor.FromSlice(x.Data[i*item:(i+1)*item], g.inC, g.h, g.w))
+				for j, v := range want.Data {
+					if o := got.Data[i*len(want.Data)+j]; o != v {
+						t.Fatalf("geometry %+v n=%d item %d elem %d: batched %v != serial %v", g, n, i, j, o, v)
+					}
 				}
 			}
 		}
@@ -109,4 +118,32 @@ func TestForwardBatchValidation(t *testing.T) {
 		}
 	}()
 	net.ForwardBatch(tensor.New(5, 8, 8), 2)
+}
+
+// TestForwardBatchZeroAlloc pins invariant 2 of batch.go: after warm-up,
+// a batched NN-S forward allocates nothing.
+func TestForwardBatchZeroAlloc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	net := NewRefineNet(rand.New(rand.NewSource(4)), 8)
+	x := randTensor(rand.New(rand.NewSource(5)), 3*3, 16, 24)
+	net.ForwardBatch(x, 3)
+	if allocs := testing.AllocsPerRun(20, func() { net.ForwardBatch(x, 3) }); allocs != 0 {
+		t.Fatalf("RefineNet.ForwardBatch allocates %.1f times per call after warm-up, want 0", allocs)
+	}
+}
+
+// TestConvForwardAllocatesOnlyOutput pins that the serial forward reuses
+// its padded-input scratch: the only allocation left is the returned
+// tensor.
+func TestConvForwardAllocatesOnlyOutput(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	conv := NewConv2D(rand.New(rand.NewSource(6)), 3, 8, 3, 1, 1)
+	x := randTensor(rand.New(rand.NewSource(7)), 3, 16, 24)
+	conv.Forward(x)
+	want := testing.AllocsPerRun(20, func() { tensor.New(8, 16, 24) })
+	if got := testing.AllocsPerRun(20, func() { conv.Forward(x) }); got != want {
+		t.Fatalf("Conv2D.Forward allocates %.1f times per call, want %.1f (the output tensor only)", got, want)
+	}
 }

@@ -43,19 +43,42 @@ func benchConv(b *testing.B, inC, outC, h, w int, backward bool) {
 	})
 }
 
-// BenchmarkConv2DForwardNoReuse forces a fresh patch matrix every call —
-// the allocation behavior before buffer reuse — for comparison with
-// BenchmarkConv2DForwardNNS.
-func BenchmarkConv2DForwardNoReuse(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	conv := NewConv2D(rng, 3, 8, 3, 1, 1)
-	x := tensor.Randn(rng, 1, 3, 64, 96)
-	serialParallel(b, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			conv.lastCols = nil
-			conv.Forward(x)
-		}
-	})
+// archiveConvShapes are the eight convolution layers of the serving
+// benchmark's networks on a 96×64 frame: NN-L (FCN, width 8) and NN-S
+// (8 features). All are 3×3, stride 1, pad 1.
+var archiveConvShapes = []struct {
+	name      string
+	inC, outC int
+	h, w      int
+}{
+	{"fcn.00_conv2d", 1, 8, 64, 96},
+	{"fcn.03_conv2d", 8, 16, 32, 48},
+	{"fcn.06_conv2d", 16, 16, 16, 24},
+	{"fcn.09_conv2d", 16, 8, 32, 48},
+	{"fcn.12_conv2d", 8, 1, 64, 96},
+	{"nns.conv1", 3, 8, 64, 96},
+	{"nns.conv2", 8, 8, 32, 48},
+	{"nns.conv3", 16, 1, 64, 96},
+}
+
+// BenchmarkConv2DForwardShapes times Conv2D.Forward on each archive layer
+// shape at the process's full worker budget and reports the achieved
+// multiply-accumulate rate.
+func BenchmarkConv2DForwardShapes(b *testing.B) {
+	for _, sh := range archiveConvShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			conv := NewConv2D(rng, sh.inC, sh.outC, 3, 1, 1)
+			x := tensor.Randn(rng, 1, sh.inC, sh.h, sh.w)
+			conv.Forward(x) // size the scratch
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conv.Forward(x)
+			}
+			b.ReportMetric(float64(conv.MACs())*float64(b.N)/b.Elapsed().Seconds()/1e9, "GMAC/s")
+		})
+	}
 }
 
 // NN-S first convolution: 3 -> 8 channels on a 64×96 sandwich input.

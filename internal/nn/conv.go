@@ -9,20 +9,24 @@ import (
 )
 
 // Conv2D is a 2-D convolution over CHW tensors with symmetric zero padding.
+// Inference runs the direct kernel tensor.Conv2DInto; only Backward lowers
+// the input to a patch matrix.
 type Conv2D struct {
-	InC, OutC      int
-	KH, KW         int
-	Stride, Pad    int
-	Weight         *tensor.Tensor // [OutC, InC, KH, KW]
-	Bias           *tensor.Tensor // [OutC]
-	gradW, gradB   *tensor.Tensor
-	lastCols       *tensor.Tensor
-	lastInH, lastW int
-	macs           int64
+	InC, OutC    int
+	KH, KW       int
+	Stride, Pad  int
+	Weight       *tensor.Tensor // [OutC, InC, KH, KW]
+	Bias         *tensor.Tensor // [OutC]
+	gradW, gradB *tensor.Tensor
+	macs         int64
 
-	// Pooled scratch of the batched inference path (batch.go): the wide
-	// patch matrix and the pre-bias GEMM output, reused across flushes.
-	batchCols, batchMM *tensor.Tensor
+	// lastX is the input of the most recent Forward, kept for Backward;
+	// cols is Backward's patch matrix, reused across training steps.
+	lastX, cols *tensor.Tensor
+
+	// scratch holds the kernel's padded input and packed weights, reused
+	// by the serial and the batched (batch.go) forward.
+	scratch tensor.ConvScratch
 
 	// dq caches the per-channel int8 weights of the dynamic quantized path
 	// (ForwardQuant, quantexec.go). Built lazily on first use; training
@@ -44,39 +48,32 @@ func NewConv2D(rng *rand.Rand, inC, outC, k, stride, pad int) *Conv2D {
 	}
 }
 
-// Forward implements Layer. The patch matrix (the only large per-call
-// allocation of the im2col path) is reused across invocations whenever the
-// input geometry repeats, and the lowering + GEMM split across cores.
+// Forward implements Layer. Apart from the returned tensor it allocates
+// nothing once the layer has seen the input geometry.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[0] != c.InC {
 		panic(fmt.Sprintf("nn: Conv2D expects [%d H W] input, got %v", c.InC, x.Shape))
 	}
-	h, w := x.Shape[1], x.Shape[2]
-	outH := tensor.ConvOutSize(h, c.KH, c.Stride, c.Pad)
-	outW := tensor.ConvOutSize(w, c.KW, c.Stride, c.Pad)
-	rows, cols := c.InC*c.KH*c.KW, outH*outW
-	if c.lastCols != nil && c.lastCols.Shape[0] == rows && c.lastCols.Shape[1] == cols {
-		tensor.Im2ColInto(c.lastCols, x, c.KH, c.KW, c.Stride, c.Pad)
-	} else {
-		c.lastCols = tensor.Im2Col(x, c.KH, c.KW, c.Stride, c.Pad)
-	}
-	w2d := c.Weight.Reshape(c.OutC, rows)
-	out2d := tensor.MatMul(w2d, c.lastCols)
-	for oc := 0; oc < c.OutC; oc++ {
-		b := c.Bias.Data[oc]
-		row := out2d.Data[oc*outH*outW : (oc+1)*outH*outW]
-		for i := range row {
-			row[i] += b
-		}
-	}
-	c.lastInH, c.lastW = h, w
-	c.macs = int64(c.OutC) * int64(rows) * int64(outH*outW)
-	return out2d.Reshape(c.OutC, outH, outW)
+	outH := tensor.ConvOutSize(x.Shape[1], c.KH, c.Stride, c.Pad)
+	outW := tensor.ConvOutSize(x.Shape[2], c.KW, c.Stride, c.Pad)
+	out := tensor.New(c.OutC, outH, outW)
+	tensor.Conv2DInto(out, x, c.Weight, c.Bias, c.Stride, c.Pad, &c.scratch)
+	c.lastX = x
+	c.macs = c.StaticMACs(x.Shape[1], x.Shape[2])
+	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. It lowers the last Forward input to a patch
+// matrix, so the gradients are the usual GEMMs over it.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	x := c.lastX
 	outH, outW := grad.Shape[1], grad.Shape[2]
+	rows := c.InC * c.KH * c.KW
+	if c.cols != nil && c.cols.Shape[0] == rows && c.cols.Shape[1] == outH*outW {
+		tensor.Im2ColInto(c.cols, x, c.KH, c.KW, c.Stride, c.Pad)
+	} else {
+		c.cols = tensor.Im2Col(x, c.KH, c.KW, c.Stride, c.Pad)
+	}
 	g2d := grad.Reshape(c.OutC, outH*outW)
 	// Bias gradient: sum over spatial positions.
 	for oc := 0; oc < c.OutC; oc++ {
@@ -89,12 +86,12 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	// Weight gradient: gradOut (OutC × P) × colsᵀ (P × K). MatMulBT streams
 	// both operands row-major without materializing the transpose.
-	gw := tensor.MatMulBT(g2d, c.lastCols)
+	gw := tensor.MatMulBT(g2d, c.cols)
 	c.gradW.AddInPlace(gw.Reshape(c.Weight.Shape...))
 	// Input gradient: Wᵀ × gradOut, scattered back to image space.
-	w2d := c.Weight.Reshape(c.OutC, c.InC*c.KH*c.KW)
+	w2d := c.Weight.Reshape(c.OutC, rows)
 	gcols := tensor.MatMul(tensor.Transpose(w2d), g2d)
-	return tensor.Col2Im(gcols, c.InC, c.lastInH, c.lastW, c.KH, c.KW, c.Stride, c.Pad)
+	return tensor.Col2Im(gcols, c.InC, x.Shape[1], x.Shape[2], c.KH, c.KW, c.Stride, c.Pad)
 }
 
 // Params implements Layer.

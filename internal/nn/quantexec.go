@@ -63,8 +63,8 @@ func ensureI32Mat(t **tensor.I32, rows, cols int) *tensor.I32 {
 	return *t
 }
 
-// ensureF3 is ensureI8 for the float logit output, backed by the pooled
-// float scratch like the float batched path's ensureBatch.
+// ensureF3 is ensureI8 for float tensors, backed by the pooled float
+// scratch: the int8 logit output and every float batched activation.
 func ensureF3(t **tensor.Tensor, d0, d1, d2 int) *tensor.Tensor {
 	numel := d0 * d1 * d2
 	if *t != nil && len((*t).Data) == numel && len((*t).Shape) == 3 {
@@ -160,8 +160,7 @@ func (q *qconv) clone() *qconv {
 // forwardBatch runs the quantized convolution over items packed item-major
 // in x ([items*inC, H, W]). Requantizing layers write item-major int8 into
 // out8; the final layer writes float into outF. The requantize (or
-// dequantize) fuses into the repack from the GEMM's [outC, n*oHW] layout,
-// mirroring the float forwardBatchInto.
+// dequantize) fuses into the repack from the GEMM's [outC, n*oHW] layout.
 func (q *qconv) forwardBatch(x *tensor.I8, items int, out8 *tensor.I8, outF *tensor.Tensor) {
 	h, w := x.Shape[1], x.Shape[2]
 	outH := tensor.ConvOutSize(h, q.k, 1, q.pad)

@@ -139,18 +139,6 @@ func BenchmarkMatMulI8(b *testing.B) {
 	}
 }
 
-func BenchmarkIm2ColBatchFloat(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	x8 := randI8(rng, 8*3, 96, 64)
-	x := asFloat(x8)
-	cols := New(27, 8*96*64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2ColBatchInto(cols, x, 8, 3, 3, 1, 1)
-	}
-}
-
 func BenchmarkIm2ColBatchI8(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	x := randI8(rng, 8*3, 96, 64)

@@ -3,10 +3,12 @@
 // small: shapes are explicit int slices, storage is a flat []float32 in
 // row-major order, and all operations are implemented with plain loops so
 // the package depends only on the standard library and the internal/par
-// parallelism substrate. The heavy kernels (MatMul, Im2Col, Col2Im) split
-// across cores via par.For; each output element is still produced by one
-// goroutine with the serial accumulation order, so results are
-// bit-identical at any worker count.
+// parallelism substrate. Inference convolutions run the direct kernel
+// Conv2DInto, which reads the input in place; training lowers with Im2Col
+// and Col2Im around MatMul. The heavy kernels split across cores via
+// par.For; each output element is still produced by one goroutine with
+// the serial accumulation order, so results are bit-identical at any
+// worker count.
 package tensor
 
 import (
