@@ -3,16 +3,17 @@
 # packages with concurrency (the par worker layer, the parallel tensor/nn
 # kernels, the overlapped core pipeline, the obs collector and the
 # multi-stream serving layer, plus the experiments test that runs one NN-S
-# per suite worker), and a short coverage-guided fuzz pass over the
-# bitstream decoders.
+# per suite worker), a short coverage-guided fuzz pass over the
+# bitstream decoders, and a cross-architecture vet and build that keeps the
+# scalar (non-amd64) convolution fallback and its tests compiling.
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/batch ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt
 FUZZTIME ?= 5s
 
-.PHONY: check fmt-check vet build test race bench suite fuzz-smoke bench-smoke serve-smoke batch-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
+.PHONY: check fmt-check vet build test race cross bench suite fuzz-smoke bench-smoke serve-smoke batch-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
 
-check: fmt-check vet build test race fuzz-smoke
+check: fmt-check vet build test race fuzz-smoke cross
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
@@ -29,6 +30,12 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run '^TestAblationInt8WithinBudget$$' ./internal/experiments
+
+# The AVX2 convolution kernels are amd64-only; vet (which type-checks the
+# test files too) and build for arm64 so the fallback stays whole.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=arm64 $(GO) build ./...
 
 # Short coverage-guided runs of the decoder fuzz targets; regressions the
 # fuzzer has found live in internal/codec/testdata/fuzz and are replayed by

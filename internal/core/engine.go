@@ -42,7 +42,7 @@ func (p *StreamingPipeline) NewEngine(dec *codec.StreamDecoder) *StreamEngine {
 		p: p, dec: dec, types: types, cfg: dec.Config(), w: w, h: h,
 		lastUse: segLastUse(types, dec.Config()),
 		segs:    make(map[int]*video.Mask),
-		refiner: p.pipeline().refiner(false),
+		refiner: p.engineRefiner(),
 		pos:     -1,
 	}
 }

@@ -59,15 +59,31 @@ type StreamingPipeline struct {
 	// (job queue, emit queue, busy workers, reference window) and span
 	// traces. Nil costs one pointer check per site.
 	Obs *obs.Collector
+
+	// refiner is the NN-S wrapper every serial engine of this pipeline
+	// shares (engines of one pipeline never run concurrently), built for
+	// the configuration in refinerKey and rebuilt when that changes — when
+	// SetRefineNet swaps the weights, not once per chunk.
+	refiner    *segment.Refiner
+	refinerKey refinerKey
+}
+
+// refinerKey is the configuration a cached refiner was built from.
+type refinerKey struct {
+	nns    *nn.RefineNet
+	quant  *nn.QuantRefineNet
+	obs    *obs.Collector
+	refine bool
 }
 
 // SetRefineNet swaps the pipeline's NN-S weights (and, when the pipeline
 // serves the int8 tier, their quantized compilation). The swap is
-// copy-on-write: engines construct their refiner from these fields at
-// NewEngine time (cloning whenever the pipeline is observed or shared), so
-// an engine already running — and any batched items in flight through it —
-// finishes on the weights it started with, and the new weights take effect
-// at the next engine construction. Callers must serialize SetRefineNet with
+// copy-on-write: engines take their refiner from these fields at NewEngine
+// time (a refiner built for them, cloning the network whenever the
+// pipeline is observed, is reused until they change), so an engine
+// already running — and any batched items in flight through it — finishes
+// on the weights it started with, and the new weights take effect at the
+// next engine construction. Callers must serialize SetRefineNet with
 // NewEngine; the serving layer does so by swapping only at chunk
 // boundaries, on the session's worker.
 //
@@ -77,6 +93,19 @@ type StreamingPipeline struct {
 func (p *StreamingPipeline) SetRefineNet(net *nn.RefineNet, quant *nn.QuantRefineNet) {
 	p.NNS = net
 	p.Quant = quant
+}
+
+// engineRefiner returns the NN-S wrapper for the next serial engine:
+// the cached one while the weights and observer it was built for are
+// current, a fresh one otherwise. Rebuilding clones the network (see
+// Pipeline.refiner), so reusing it spares a clone per chunk and keeps the
+// network's warmed kernel scratch.
+func (p *StreamingPipeline) engineRefiner() *segment.Refiner {
+	key := refinerKey{nns: p.NNS, quant: p.Quant, obs: p.Obs, refine: p.Refine}
+	if p.refiner == nil || key != p.refinerKey {
+		p.refiner, p.refinerKey = p.pipeline().refiner(false), key
+	}
+	return p.refiner
 }
 
 // pipeline adapts the streaming configuration to the batch Pipeline so the

@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"vrdann/internal/codec"
+	"vrdann/internal/obs"
 	"vrdann/internal/segment"
 )
 
@@ -122,5 +125,55 @@ func TestStreamingPipelineWithDisplayOrder(t *testing.T) {
 	}
 	if next != 16 {
 		t.Fatalf("emitted %d frames in order", next)
+	}
+}
+
+// TestEngineRefinerRebuiltOnlyOnSwap pins the pipeline's NN-S refiner
+// cache: the engines of an observed pipeline share one refiner over one
+// clone of the weights instead of cloning per chunk, and SetRefineNet
+// rebuilds it on a clone of exactly the new float or int8 weights.
+func TestEngineRefinerRebuiltOnlyOnSwap(t *testing.T) {
+	v := makeTestVideo(18, 1.2)
+	stream := encodeTestVideo(t, v)
+	nns, q := quantTestNet(t, 21)
+	sp := &StreamingPipeline{NNL: segment.NewOracle("oracle", v.Masks, 0, 0, 1), NNS: nns, Refine: true, Obs: obs.New()}
+	refiner := func() *segment.Refiner {
+		dec, err := codec.NewStreamDecoder(stream, codec.DecodeSideInfo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp.NewEngine(dec).refiner
+	}
+	r1 := refiner()
+	if r1 == nil || r1.Net == nns {
+		t.Fatal("an observed pipeline must refine on its own clone of the weights")
+	}
+	if refiner() != r1 {
+		t.Fatal("refiner rebuilt although the weights did not change")
+	}
+
+	adapted := nns.Clone()
+	adapted.Conv3.Bias.Data[0] += 0.25
+	sp.SetRefineNet(adapted, nil)
+	r2 := refiner()
+	if r2 == r1 || r2.Net == adapted || r2.Quant != nil {
+		t.Fatal("SetRefineNet did not rebuild the refiner on a clone of the new weights")
+	}
+	for i, p := range adapted.Params() {
+		if !slices.Equal(r2.Net.Params()[i].Data, p.Data) {
+			t.Fatalf("rebuilt refiner param %d differs from the promoted weights", i)
+		}
+	}
+	if refiner() != r2 {
+		t.Fatal("refiner rebuilt again without a swap")
+	}
+
+	sp.SetRefineNet(adapted, q)
+	if r3 := refiner(); r3 == r2 || r3.Quant == nil || r3.Quant == q {
+		t.Fatal("swapping in an int8 compilation did not rebuild on a clone of it")
+	}
+	sp.SetRefineNet(adapted, nil)
+	if r4 := refiner(); r4.Quant != nil || r4.Net == nil {
+		t.Fatal("clearing the int8 tier did not return to float refinement")
 	}
 }

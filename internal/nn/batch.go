@@ -149,6 +149,71 @@ func concatChannelsBatch(dst, a, b *tensor.Tensor, n int) {
 	}
 }
 
+// ForwardBatch runs the chain over a batch of n items packed item-major
+// into x ([n*C, H, W]) and returns the packed outputs, item i's bitwise
+// equal to Forward on item i alone. Conv2D, ReLU, MaxPool2 and Upsample2
+// run fused over the whole batch into per-layer scratch, with ReLU in
+// place (on a copy when its input is the caller's x), so after warm-up the
+// call allocates nothing; any other layer runs Forward item by item. The
+// returned tensor aliases network-owned scratch: it is valid until the
+// next ForwardBatch call on this instance. Inference-only, like
+// RefineNet.ForwardBatch: nothing is kept for Backward and MACs is not
+// updated.
+func (s *Sequential) ForwardBatch(x *tensor.Tensor, n int) *tensor.Tensor {
+	if len(x.Shape) != 3 || n <= 0 || x.Shape[0]%n != 0 {
+		panic(fmt.Sprintf("nn: Sequential.ForwardBatch expects [%d*C H W] input, got %v", n, x.Shape))
+	}
+	if len(s.bsc) != len(s.Layers) {
+		s.bsc = make([]*tensor.Tensor, len(s.Layers))
+	}
+	in := x
+	for i, l := range s.Layers {
+		c, h, w := x.Shape[0], x.Shape[1], x.Shape[2]
+		switch l := l.(type) {
+		case *Conv2D:
+			if c != n*l.InC {
+				panic(fmt.Sprintf("nn: Sequential.ForwardBatch layer %d expects [%d*%d H W] input, got %v", i, n, l.InC, x.Shape))
+			}
+			dst := ensureF3(&s.bsc[i], n*l.OutC, tensor.ConvOutSize(h, l.KH, l.Stride, l.Pad), tensor.ConvOutSize(w, l.KW, l.Stride, l.Pad))
+			l.forwardBatchInto(dst, x)
+			x = dst
+		case *ReLU:
+			if x == in {
+				dst := ensureF3(&s.bsc[i], c, h, w)
+				copy(dst.Data, x.Data)
+				x = dst
+			}
+			reluInPlace(x)
+		case *MaxPool2:
+			dst := ensureF3(&s.bsc[i], c, h/2, w/2)
+			maxPool2Batch(dst, x)
+			x = dst
+		case *Upsample2:
+			dst := ensureF3(&s.bsc[i], c, 2*h, 2*w)
+			upsample2Batch(dst, x)
+			x = dst
+		default:
+			x = forwardItems(&s.bsc[i], l, x, n)
+		}
+	}
+	return x
+}
+
+// forwardItems runs a layer without a fused batch form: Forward on each
+// item of the packed batch x, the outputs packed into pooled scratch.
+func forwardItems(scratch **tensor.Tensor, l Layer, x *tensor.Tensor, n int) *tensor.Tensor {
+	c, h, w := x.Shape[0]/n, x.Shape[1], x.Shape[2]
+	var dst *tensor.Tensor
+	for i := 0; i < n; i++ {
+		y := l.Forward(tensor.FromSlice(x.Data[i*c*h*w:(i+1)*c*h*w], c, h, w))
+		if i == 0 {
+			dst = ensureF3(scratch, n*y.Shape[0], y.Shape[1], y.Shape[2])
+		}
+		copy(dst.Data[i*len(y.Data):], y.Data)
+	}
+	return dst
+}
+
 // batchScratch holds the pooled activation buffers of RefineNet.ForwardBatch.
 type batchScratch struct {
 	skip, down, mid, up, cat, out *tensor.Tensor

@@ -147,3 +147,85 @@ func TestConvForwardAllocatesOnlyOutput(t *testing.T) {
 		t.Fatalf("Conv2D.Forward allocates %.1f times per call, want %.1f (the output tensor only)", got, want)
 	}
 }
+
+// trainedShapeFCN builds the serving benchmark's NN-L shape (FCN, width 8)
+// with non-zero biases, as training leaves them.
+func trainedShapeFCN(seed int64) *FCN {
+	rng := rand.New(rand.NewSource(seed))
+	net := NewFCN(rng, 1, 8)
+	for _, l := range net.Layers {
+		if c, ok := l.(*Conv2D); ok {
+			for i := range c.Bias.Data {
+				c.Bias.Data[i] = rng.Float32() - 0.5
+			}
+		}
+	}
+	return net
+}
+
+// sequentialMatchesForward checks got (a packed batch of n items from
+// ForwardBatch) against Forward on each item of x, bit for bit.
+func sequentialMatchesForward(t *testing.T, name string, ref Layer, x, got *tensor.Tensor, n int) {
+	t.Helper()
+	per := len(x.Data) / n
+	for i := 0; i < n; i++ {
+		want := ref.Forward(tensor.FromSlice(x.Data[i*per:(i+1)*per], x.Shape[0]/n, x.Shape[1], x.Shape[2]))
+		if got.Shape[0] != n*want.Shape[0] || got.Shape[1] != want.Shape[1] || got.Shape[2] != want.Shape[2] {
+			t.Fatalf("%s n=%d: batched shape %v, serial item %v", name, n, got.Shape, want.Shape)
+		}
+		for j, v := range want.Data {
+			if o := got.Data[i*len(want.Data)+j]; math.Float32bits(o) != math.Float32bits(v) {
+				t.Fatalf("%s n=%d item %d elem %d: batched %v != serial %v", name, n, i, j, o, v)
+			}
+		}
+	}
+}
+
+// TestSequentialForwardBatchBitIdentical pins Sequential.ForwardBatch, as
+// the FCN inherits it, to Forward bitwise at batch sizes 1 to 3, resizing
+// its scratch between geometries.
+func TestSequentialForwardBatchBitIdentical(t *testing.T) {
+	net, ref := trainedShapeFCN(12), trainedShapeFCN(12)
+	rng := rand.New(rand.NewSource(13))
+	for _, g := range []struct{ n, h, w int }{{1, 64, 96}, {2, 64, 96}, {3, 32, 44}, {1, 64, 96}} {
+		x := randTensor(rng, g.n, g.h, g.w)
+		sequentialMatchesForward(t, "fcn", ref, x, net.ForwardBatch(x, g.n), g.n)
+	}
+}
+
+// TestSequentialForwardBatchLeavesInput covers the layers without a fused
+// form and a leading ReLU: the batched ReLU works in place, so it must copy
+// the caller's input first rather than overwrite it.
+func TestSequentialForwardBatchLeavesInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	bn := NewBatchNorm(3)
+	bn.Training = false
+	for i := range bn.Beta.Data {
+		bn.Beta.Data[i] = rng.Float32() - 0.5
+	}
+	net := NewSequential(NewReLU(), NewConv2D(rng, 2, 3, 3, 1, 1), bn, NewReLU(), NewMaxPool2())
+	ref := NewSequential(NewReLU(), NewConv2D(rng, 2, 3, 3, 1, 1), bn, NewReLU(), NewMaxPool2())
+	copyParams(t, ref.Layers[1].(*Conv2D), net.Layers[1].(*Conv2D))
+	x := randTensor(rng, 3*2, 8, 10)
+	orig := x.Clone()
+	got := net.ForwardBatch(x, 3)
+	for i, v := range orig.Data {
+		if math.Float32bits(x.Data[i]) != math.Float32bits(v) {
+			t.Fatalf("ForwardBatch overwrote its input at %d: %v, was %v", i, x.Data[i], v)
+		}
+	}
+	sequentialMatchesForward(t, "relu-first", ref, x, got, 3)
+}
+
+// TestSequentialForwardBatchZeroAlloc pins that a warmed-up batched FCN
+// forward allocates nothing at GOMAXPROCS(1).
+func TestSequentialForwardBatchZeroAlloc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	net := trainedShapeFCN(15)
+	x := randTensor(rand.New(rand.NewSource(16)), 2, 64, 96)
+	net.ForwardBatch(x, 2)
+	if allocs := testing.AllocsPerRun(20, func() { net.ForwardBatch(x, 2) }); allocs != 0 {
+		t.Fatalf("Sequential.ForwardBatch allocates %.1f times per call after warm-up, want 0", allocs)
+	}
+}

@@ -5,6 +5,10 @@ import "vrdann/internal/tensor"
 // Sequential chains layers; the output of each feeds the next.
 type Sequential struct {
 	Layers []Layer
+
+	// bsc holds one pooled activation buffer per layer for ForwardBatch
+	// (batch.go).
+	bsc []*tensor.Tensor
 }
 
 // NewSequential builds a sequential network from the given layers.

@@ -35,9 +35,11 @@ func SandwichInto(x *tensor.Tensor, prev *video.Mask, recon *ReconMask, next *vi
 
 // Refiner runs NN-S over a sequence of B-frames, reusing the sandwich
 // input tensor across invocations so steady-state refinement allocates
-// only the output mask. A Refiner is not safe for concurrent use (the
-// network caches forward-pass activations); concurrent pipelines hold one
-// Refiner per worker over a Clone of the network.
+// only the output mask: float refinement runs the network's batched
+// forward on a batch of one (nn.RefineNet.ForwardBatch, bitwise equal to
+// Forward, with its activations in reused scratch). A Refiner is not safe
+// for concurrent use (the network owns that scratch); concurrent pipelines
+// hold one Refiner per worker over a Clone of the network.
 //
 // Exactly one of Net and Quant is set: Net runs float inference, Quant the
 // int8 execution tier (same decisions gated on F-score, not bit identity).
@@ -76,7 +78,7 @@ func (r *Refiner) Refine(prev *video.Mask, recon *ReconMask, next *video.Mask) *
 	if r.Quant != nil {
 		logits = r.Quant.ForwardQuant(r.in)
 	} else {
-		logits = r.Net.Forward(r.in)
+		logits = r.Net.ForwardBatch(r.in, 1)
 	}
 	m := video.NewMask(recon.W, recon.H)
 	for i, v := range logits.Data {
@@ -105,8 +107,13 @@ func MaskToTensor(m *video.Mask) *tensor.Tensor {
 // FrameToTensor converts a luma frame to a [1,H,W] tensor scaled to [0,1].
 func FrameToTensor(f *video.Frame) *tensor.Tensor {
 	t := tensor.New(1, f.H, f.W)
+	frameToTensorInto(t, f)
+	return t
+}
+
+// frameToTensorInto is FrameToTensor writing into a [1,H,W] tensor.
+func frameToTensorInto(t *tensor.Tensor, f *video.Frame) {
 	for i, v := range f.Pix {
 		t.Data[i] = float32(v) / 255
 	}
-	return t
 }

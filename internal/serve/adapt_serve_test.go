@@ -167,6 +167,70 @@ func TestAdaptPromotionSwapsServingWeights(t *testing.T) {
 	}
 }
 
+// TestAdaptPromotionsServeCurrentWeights runs several chunks through one
+// adapting session with forced promotions landing between them (under
+// -race, with the trainer live). The session reuses one NN-S refiner
+// across chunks and rebuilds it only when a promotion swaps the weights;
+// every chunk must be served bit-identical to the serial reference run on
+// exactly the weights the session held for it.
+func TestAdaptPromotionsServeCurrentWeights(t *testing.T) {
+	v := makeTestVideo(18, 1.5)
+	chunk := encodeTestVideo(t, v)
+	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
+
+	col := obs.New()
+	srv, err := NewServer(Config{
+		Workers:      2,
+		NewSegmenter: oracleFor(v),
+		NNS:          nns,
+		Obs:          col,
+		Adapt:        &adapt.Config{MinImprove: -1, EvalEvery: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := srv.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	promotions := func() int64 { return col.Snapshot().Counters[obs.CounterAdaptPromotions.String()] }
+	var version uint64
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			seen := promotions()
+			adaptPoll(t, 10*time.Second, func() bool { return promotions() > seen }, "staged promotion")
+		}
+		ck, err := s.Submit(context.Background(), chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ck.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The chunk completed, so the worker's swap at its start
+		// happened-before the ticket resolved; the next swap waits for the
+		// next Submit.
+		if round > 0 && s.adaptVersion == version {
+			t.Fatalf("round %d: staged promotion not picked up (version %d)", round, version)
+		}
+		version = s.adaptVersion
+		ref := serialReference(t, v, chunk, s.pipe.NNS.Clone())
+		if len(res) != len(ref) {
+			t.Fatalf("round %d: %d frames, want %d", round, len(res), len(ref))
+		}
+		for i, fr := range res {
+			if fr.Mask == nil || !bytes.Equal(fr.Mask.Pix, ref[i].Mask.Pix) {
+				t.Fatalf("round %d (weights version %d): frame %d diverges from the serial reference on those weights", round, version, i)
+			}
+		}
+	}
+	s.Close()
+	if err := srv.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAdaptCacheIsolation submits identical bytes through two adapting
 // sessions on one cached server: their weights diverge independently, so
 // they must never share cache entries — zero hits, every frame computed —

@@ -35,8 +35,10 @@ func im2colDims(x *Tensor, kh, kw, stride, pad int) (c, outH, outW int) {
 		panic(fmt.Sprintf("tensor: Im2Col requires CHW input, got %v", x.Shape))
 	}
 	c = x.Shape[0]
-	outH = (x.Shape[1]+2*pad-kh)/stride + 1
-	outW = (x.Shape[2]+2*pad-kw)/stride + 1
+	if stride < 1 {
+		panic(fmt.Sprintf("tensor: Im2Col stride %d < 1", stride))
+	}
+	outH, outW = ConvOutSize(x.Shape[1], kh, stride, pad), ConvOutSize(x.Shape[2], kw, stride, pad)
 	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("tensor: Im2Col produces empty output for input %v kernel %dx%d stride %d pad %d", x.Shape, kh, kw, stride, pad))
 	}
@@ -49,8 +51,7 @@ func im2colDims(x *Tensor, kh, kw, stride, pad int) (c, outH, outW int) {
 // (the parallel closure escapes to the heap).
 func im2colInto(cols, x *Tensor, kh, kw, stride, pad int, zero bool) {
 	rows := x.Shape[0] * kh * kw
-	outH := (x.Shape[1]+2*pad-kh)/stride + 1
-	outW := (x.Shape[2]+2*pad-kw)/stride + 1
+	outH, outW := ConvOutSize(x.Shape[1], kh, stride, pad), ConvOutSize(x.Shape[2], kw, stride, pad)
 	grain := par.Grain(rows, outH*outW, par.MinWorkFloats)
 	if grain >= rows || par.MaxWorkers() == 1 {
 		im2colRows(cols, x, kh, kw, stride, pad, 0, rows, zero)
@@ -64,8 +65,7 @@ func im2colInto(cols, x *Tensor, kh, kw, stride, pad int, zero bool) {
 // im2colRows fills patch-matrix rows [lo, hi).
 func im2colRows(cols, x *Tensor, kh, kw, stride, pad, lo, hi int, zero bool) {
 	h, w := x.Shape[1], x.Shape[2]
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
+	outH, outW := ConvOutSize(h, kh, stride, pad), ConvOutSize(w, kw, stride, pad)
 	for r := lo; r < hi; r++ {
 		ch := r / (kh * kw)
 		ky := (r / kw) % kh
@@ -109,8 +109,7 @@ func Col2ImInto(img, cols *Tensor, kh, kw, stride, pad int) {
 		panic(fmt.Sprintf("tensor: Col2ImInto requires CHW dst, got %v", img.Shape))
 	}
 	c, h, w := img.Shape[0], img.Shape[1], img.Shape[2]
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
+	outH, outW := ConvOutSize(h, kh, stride, pad), ConvOutSize(w, kw, stride, pad)
 	if len(cols.Shape) != 2 || cols.Shape[0] != c*kh*kw || cols.Shape[1] != outH*outW {
 		panic(fmt.Sprintf("tensor: Col2Im shape mismatch: cols %v, want [%d %d]", cols.Shape, c*kh*kw, outH*outW))
 	}
@@ -142,8 +141,13 @@ func Col2ImInto(img, cols *Tensor, kh, kw, stride, pad int) {
 }
 
 // ConvOutSize returns the spatial output size of a convolution along one
-// dimension.
+// dimension: 0 when the kernel is larger than the padded input (integer
+// division alone would truncate the negative span towards zero and
+// report one output).
 func ConvOutSize(in, k, stride, pad int) int {
+	if in+2*pad < k {
+		return 0
+	}
 	return (in+2*pad-k)/stride + 1
 }
 
@@ -172,7 +176,10 @@ type convGeom struct {
 // input in place instead of lowering it to a patch matrix: the input is
 // zero-padded once into scratch, and each output element is accumulated
 // in a register, four output channels (or, for the OC%4 remainder, four
-// output columns) at a time.
+// output columns) at a time. On AVX2 hosts stride-1 rows go eight output
+// columns at a time through the micro-kernels of conv_amd64.s; the scalar
+// kernel computes the column tails (outW%8), other strides, and everything
+// on other architectures.
 //
 // Each output element sums its (c, ky, kx) terms in ascending order from
 // +0 and then adds the bias, the order Im2Col + MatMul + bias add uses, so
@@ -181,7 +188,9 @@ type convGeom struct {
 // the results can differ only where a zero weight meets an Inf or NaN
 // input.) Output rows split across cores; each element is still produced
 // by one goroutine, so results are bit-identical at any worker count and
-// batch size.
+// batch size. The AVX2 lanes run the scalar operation sequence (one
+// multiply, then one add, per tap; no fused multiply-add), so they are
+// bit-identical to it.
 func Conv2DInto(dst, x, weight, bias *Tensor, stride, pad int, s *ConvScratch) {
 	if len(x.Shape) != 3 || len(weight.Shape) != 4 || weight.Shape[1] == 0 || x.Shape[0]%weight.Shape[1] != 0 || x.Shape[0] == 0 {
 		panic(fmt.Sprintf("tensor: Conv2DInto input %v does not match weight %v", x.Shape, weight.Shape))
@@ -189,8 +198,11 @@ func Conv2DInto(dst, x, weight, bias *Tensor, stride, pad int, s *ConvScratch) {
 	c, h, w := weight.Shape[1], x.Shape[1], x.Shape[2]
 	n := x.Shape[0] / c
 	oc, kh, kw := weight.Shape[0], weight.Shape[2], weight.Shape[3]
+	if stride < 1 {
+		panic(fmt.Sprintf("tensor: Conv2DInto stride %d < 1", stride))
+	}
 	outH, outW := ConvOutSize(h, kh, stride, pad), ConvOutSize(w, kw, stride, pad)
-	if stride < 1 || outH <= 0 || outW <= 0 {
+	if outH <= 0 || outW <= 0 {
 		panic(fmt.Sprintf("tensor: Conv2DInto produces empty output for input %v kernel %dx%d stride %d pad %d", x.Shape, kh, kw, stride, pad))
 	}
 	if len(bias.Data) != oc || len(dst.Shape) != 3 || dst.Shape[0] != n*oc || dst.Shape[1] != outH || dst.Shape[2] != outW {
@@ -268,15 +280,26 @@ func padInto(dst, src []float32, c, h, w, pad int) {
 // row r is row r%outH of item r/outH. Output channels go in register
 // blocks of four (one input load feeds four accumulators); the OC%4
 // remainder goes in blocks of four output columns (one weight load feeds
-// four accumulators), then one column at a time.
+// four accumulators), then one column at a time. For stride-1 rows on AVX2
+// hosts the micro-kernels first take the columns in blocks of eight, and
+// the scalar loops finish the tail.
 func convRows(dst, xp []float32, packed [][4]float32, w, bias []float32, offs []int, g convGeom, lo, hi int) {
 	k := len(offs)
 	ohw := g.oh * g.ow
 	groups := g.oc / 4
+	blocks := 0 // output columns the AVX2 kernels take, in blocks of eight
+	if useAVX2 && g.stride == 1 && k > 0 {
+		blocks = g.ow / 8
+	}
 	for r := lo; r < hi; r++ {
 		item, oy := r/g.oh, r%g.oh
 		rowBase := item*g.inItem + oy*g.stride*g.wp
 		out := dst[item*g.oc*ohw+oy*g.ow:]
+		if blocks > 0 {
+			// The kernels read up to the last tap of the last blocked
+			// column, which the scalar kernel reads too; check it once.
+			_ = xp[rowBase+blocks*8-1+offs[k-1]]
+		}
 		for gi := 0; gi < groups; gi++ {
 			wg := packed[gi*k : (gi+1)*k]
 			o := gi * 4
@@ -285,7 +308,12 @@ func convRows(dst, xp []float32, packed [][4]float32, w, bias []float32, offs []
 			d1 := out[(o+1)*ohw:][:g.ow]
 			d2 := out[(o+2)*ohw:][:g.ow]
 			d3 := out[(o+3)*ohw:][:g.ow]
-			for ox := range d0 {
+			ox := 0
+			if blocks > 0 {
+				conv4x8AVX2(&d0[0], ohw, &xp[rowBase], &offs[0], &wg[0], k, &bias[o], blocks)
+				ox = blocks * 8
+			}
+			for ; ox < g.ow; ox++ {
 				a0, a1, a2, a3 := dotChannels4(xp, rowBase+ox*g.stride, offs, wg)
 				d0[ox], d1[ox], d2[ox], d3[ox] = a0+b0, a1+b1, a2+b2, a3+b3
 			}
@@ -295,6 +323,10 @@ func convRows(dst, xp []float32, packed [][4]float32, w, bias []float32, offs []
 			b := bias[o]
 			d := out[o*ohw:][:g.ow]
 			ox := 0
+			if blocks > 0 {
+				conv1x8AVX2(&d[0], &xp[rowBase], &offs[0], &wo[0], k, b, blocks)
+				ox = blocks * 8
+			}
 			for ; ox+4 <= g.ow; ox += 4 {
 				a0, a1, a2, a3 := dotColumns4(xp, rowBase+ox*g.stride, g.stride, offs, wo)
 				d[ox], d[ox+1], d[ox+2], d[ox+3] = a0+b, a1+b, a2+b, a3+b
