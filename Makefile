@@ -1,17 +1,18 @@
 # Developer entry points. `make check` is the gate every change must pass:
 # formatting, vet, build, the full test suite, the race detector over the
 # packages with concurrency (the par worker layer, the parallel tensor/nn
-# kernels, the overlapped core pipeline, the obs collector and the
-# multi-stream serving layer, plus the experiments test that runs one NN-S
-# per suite worker), a short coverage-guided fuzz pass over the
-# bitstream decoders, and a cross-architecture vet and build that keeps the
-# scalar (non-amd64) convolution fallback and its tests compiling.
+# kernels, the core frame driver with its B-frame refinement workers, the
+# obs collector and the multi-stream serving layer, plus the experiments
+# test that runs one NN-S per suite worker), a short coverage-guided fuzz
+# pass over the bitstream decoders, and a cross-architecture vet and build
+# that keeps the scalar (non-amd64) convolution fallback and its tests
+# compiling. `make loc` prints the non-test line count the roadmap tracks.
 
 GO ?= go
 RACE_PKGS := ./internal/par ./internal/core ./internal/tensor ./internal/nn ./internal/obs ./internal/batch ./internal/serve ./internal/contentcache ./internal/shard ./internal/qos ./internal/adapt
 FUZZTIME ?= 5s
 
-.PHONY: check fmt-check vet build test race cross bench suite fuzz-smoke bench-smoke serve-smoke batch-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
+.PHONY: check fmt-check vet build test race cross bench loc suite fuzz-smoke bench-smoke serve-smoke batch-smoke quant-smoke cache-smoke chaos-smoke gate-smoke qos-smoke adapt-smoke
 
 check: fmt-check vet build test race fuzz-smoke cross
 
@@ -44,10 +45,16 @@ fuzz-smoke:
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/codec -run '^$$' -fuzz '^FuzzStreamDecoder$$' -fuzztime $(FUZZTIME)
 
-# Serial-vs-parallel kernel and pipeline micro-benchmarks (EXPERIMENTS.md
-# "Parallel compute layer" section).
+# Kernel and pipeline micro-benchmarks: the tensor/nn kernels serial vs
+# parallel, and the core pipeline at 1, 2 and 4 B-frame refinement workers
+# (EXPERIMENTS.md "Parallel compute layer" section).
 bench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/tensor ./internal/nn ./internal/core
+
+# The size figure the roadmap tracks: non-test Go lines of the root
+# module, excluding the perfbench module.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
 
 # One cheap end-to-end benchsuite run (JSON, including the per-stage
 # profile) to catch wiring breakage without the cost of the full suite.

@@ -28,7 +28,7 @@ import (
 func main() {
 	frames := flag.Int("frames", 48, "frames per benchmark sequence")
 	res := flag.String("res", "96x64", "accuracy evaluation resolution WxH")
-	workers := flag.Int("workers", 1, "per-pipeline worker count (> 1 overlaps NN-L with B-frame work; results are bit-identical)")
+	workers := flag.Int("workers", 1, "per-pipeline worker count (> 1 runs B-frame NN-S on that many goroutines beside NN-L; detection has no NN-S; results are bit-identical)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	flag.Parse()
 
@@ -407,16 +407,12 @@ func runFigure(h *experiments.Harness, name string) error {
 			return err
 		}
 		fmt.Println("Content cache sweep (viewers x distinct contents; 2 chunks per session):")
-		fmt.Printf("  %8s %8s %7s %12s %11s %8s %6s %6s %6s %10s %13s\n",
-			"contents", "viewers", "frames", "uncached fps", "cached fps", "speedup", "hits", "miss", "evict", "saved MB", "broadcast f/s")
+		fmt.Printf("  %8s %8s %7s %12s %11s %8s %6s %6s %6s %10s\n",
+			"contents", "viewers", "frames", "uncached fps", "cached fps", "speedup", "hits", "miss", "evict", "saved MB")
 		for _, r := range rows {
-			bcast := "-"
-			if r.BroadcastFPS > 0 {
-				bcast = fmt.Sprintf("%.1f", r.BroadcastFPS)
-			}
-			fmt.Printf("  %8d %8d %7d %12.1f %11.1f %7.2fx %6d %6d %6d %10.2f %13s\n",
+			fmt.Printf("  %8d %8d %7d %12.1f %11.1f %7.2fx %6d %6d %6d %10.2f\n",
 				r.Contents, r.Viewers, r.Frames, r.UncachedFPS, r.CachedFPS, r.Speedup,
-				r.Hits, r.Misses, r.Evictions, float64(r.BytesSaved)/(1<<20), bcast)
+				r.Hits, r.Misses, r.Evictions, float64(r.BytesSaved)/(1<<20))
 		}
 	case "shard":
 		rep, err := h.ShardFigure()

@@ -33,7 +33,7 @@ func main() {
 	deblock := flag.Bool("deblock", false, "enable the in-loop deblocking filter")
 	bitrate := flag.Int("bitrate", 0, "rate-control target in bits per frame (0 = constant QP)")
 	trace := flag.Bool("trace", false, "print the simulated VR-DANN-parallel execution timeline")
-	workers := flag.Int("workers", 1, "pipeline worker count (> 1 overlaps NN-L with B-frame work; results are bit-identical)")
+	workers := flag.Int("workers", 1, "pipeline worker count (> 1 runs B-frame NN-S on that many goroutines beside NN-L; detection has no NN-S; results are bit-identical)")
 	metrics := flag.Bool("metrics", false, "collect per-stage latency/occupancy metrics and print the summary table")
 	obsaddr := flag.String("obsaddr", "", "serve net/http/pprof and an expvar metrics snapshot on this address during the run")
 	list := flag.Bool("list", false, "list available sequences and exit")

@@ -48,8 +48,9 @@ func (c ErrorClass) String() string {
 }
 
 // Classify maps an error returned by the step API (StreamEngine.Step /
-// StepFunc, the pipeline Run variants) onto its ErrorClass. It inspects the
-// wrap chain, so callers may have added their own context around the error.
+// StepPrepare, the pipeline Run variants) onto its ErrorClass. It inspects
+// the wrap chain, so callers may have added their own context around the
+// error.
 func Classify(err error) ErrorClass {
 	switch {
 	case err == nil:

@@ -27,10 +27,13 @@ type StepSelector func(codec.FrameInfo) qos.Step
 //   - B-frame: an NN-S refinement of the MV-reconstructed mask between its
 //     flanking anchor segmentations.
 //
-// The holder must finish the step by calling Finish with the computed mask
-// (however it was computed — inline, or as one lane of a fused batch)
-// before the next StepPrepare on the same engine. A PendingNN borrows the
-// engine's state and is not safe to retain past Finish.
+// The holder finishes the step by calling Finish with the computed mask
+// (however it was computed — inline, on a worker, or as one lane of a
+// fused batch). NN-L work holds the engine: it must be finished before the
+// next StepPrepare on the same engine, because its mask joins the
+// reference window. B-frame refinement work does not: StepPrepare has
+// already closed the step, so the engine may step on while the refinement
+// runs elsewhere, and its Finish touches only the work's own state.
 type PendingNN struct {
 	e  *StreamEngine
 	mo *MaskOut
@@ -110,9 +113,9 @@ func (pn *PendingNN) RefineInputs() (prev *video.Mask, rec *segment.ReconMask, n
 func (pn *PendingNN) Segmenter() segment.Segmenter { return pn.e.p.NNL }
 
 // ExecuteLocal computes the pending mask inline on the caller's goroutine
-// with the engine's own models, recording the same nn-l/refine spans as the
-// fused serial loop. StepFunc is built on it; a scheduler uses it as the
-// unbatched fallback.
+// with the engine's own models, recording the nn-l/refine span. Step and
+// the run driver are built on it; a scheduler uses it as the unbatched
+// fallback.
 func (pn *PendingNN) ExecuteLocal() *video.Mask {
 	p := pn.e.p
 	if pn.frame != nil {
@@ -121,27 +124,37 @@ func (pn *PendingNN) ExecuteLocal() *video.Mask {
 		p.Obs.Span(obs.StageNNL, pn.mo.Display, byte(pn.mo.Type), t0)
 		return m
 	}
-	t1 := p.Obs.Clock()
-	m := pn.e.refiner.Refine(pn.prev, pn.rec, pn.next)
-	p.Obs.Span(obs.StageRefine, pn.mo.Display, byte(pn.mo.Type), t1)
+	return pn.refine(pn.e.refiner)
+}
+
+// refine runs B-frame NN-S work with r, recording the refine span. It
+// reads only the work's own inputs, so it may run on any goroutine.
+func (pn *PendingNN) refine(r *segment.Refiner) *video.Mask {
+	c := pn.e.p.Obs
+	t := c.Clock()
+	m := r.Refine(pn.prev, pn.rec, pn.next)
+	c.Span(obs.StageRefine, pn.mo.Display, byte(pn.mo.Type), t)
 	return m
 }
 
-// Finish completes the step with the computed mask: anchor masks join the
-// engine's reference window, and the window bookkeeping deferred by
-// StepPrepare (high-watermark, gauge, pruning) runs exactly as the fused
-// step would have run it. For residual-skip crops the mask is the refined
-// dirty rectangle, composited here over the full-frame reconstruction.
+// Finish completes the step with the computed mask. For NN-L work, anchor
+// masks join the engine's reference window and the window bookkeeping
+// deferred by StepPrepare (high-watermark, gauge, pruning) runs exactly as
+// the fused step would have run it. For residual-skip crops the mask is
+// the refined dirty rectangle, composited here over the full-frame
+// reconstruction.
 func (pn *PendingNN) Finish(mask *video.Mask) *MaskOut {
 	if pn.base != nil {
 		segment.PasteMask(pn.base, mask, pn.cropX, pn.cropY)
 		mask = pn.base
 	}
 	pn.mo.Mask = mask
-	if pn.frame != nil && !pn.reseg {
-		pn.e.segs[pn.mo.Display] = mask
+	if pn.frame != nil {
+		if !pn.reseg {
+			pn.e.segs[pn.mo.Display] = mask
+		}
+		pn.e.finishStep()
 	}
-	pn.e.finishStep()
 	return pn.mo
 }
 
@@ -178,7 +191,10 @@ func (e *StreamEngine) finishStep() {
 // reconstruction) or returns the frame's NN work as a PendingNN for the
 // caller to execute and Finish. mo is non-nil exactly when pending is nil
 // and a frame was produced; when pending is non-nil the MaskOut is
-// delivered by Finish instead.
+// delivered by Finish instead. B-frame refinement work is returned with
+// the step already closed (window accounting and pruning done — B-frame
+// masks never join the window), so the caller may prepare further steps
+// before finishing it; NN-L work must be finished first.
 //
 // The selector is consulted once per B-frame. qos.StepSkip sheds the frame
 // (side info is still consumed; the entropy coder must advance);
@@ -191,10 +207,11 @@ func (e *StreamEngine) finishStep() {
 // keyed on the full-quality configuration. Anchors never consult the
 // selector.
 //
-// StepFunc(ctx, sel) is equivalent to StepPrepare followed by
-// pending.Finish(pending.ExecuteLocal()) — the serving layer swaps
-// ExecuteLocal for a batched execution and everything else stays shared,
-// which is what makes batched output bit-identical by construction.
+// Step is StepPrepare followed by pending.Finish(pending.ExecuteLocal()) —
+// the serving layer swaps ExecuteLocal for a batched execution and
+// everything else stays shared, which is what makes batched output
+// bit-identical by construction. Under overload the selector slides
+// B-frames down the ladder while the anchor chain stays intact.
 func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *MaskOut, pending *PendingNN, err error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -202,7 +219,7 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 		}
 	}
 	p := e.p
-	out, derr := e.dec.Next()
+	out, derr := e.src.Next()
 	if derr != nil {
 		return nil, nil, fmt.Errorf("core: decode: %w", derr)
 	}
@@ -210,22 +227,30 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 		return nil, nil, nil
 	}
 	e.pos++
-	mo = &MaskOut{Display: out.Info.Display, Type: out.Info.Type}
-	switch out.Info.Type {
+	info := out.Info
+	mo = &MaskOut{Display: info.Display, Type: info.Type}
+	switch info.Type {
 	case codec.IFrame, codec.PFrame:
-		if m := e.sourceMask(out.Info); m != nil {
+		if info.Type == codec.IFrame {
+			e.stats.IFrames++
+		} else {
+			e.stats.PFrames++
+		}
+		if m := e.sourceMask(info); m != nil {
 			// Externally supplied anchor mask (content cache hit): NN-L is
 			// skipped, but the mask still enters the reference window exactly
 			// as Finish would have placed it.
 			mo.Mask = m
-			e.segs[out.Info.Display] = m
+			e.segs[info.Display] = m
 			break
 		}
+		e.stats.NNLRuns++
 		return nil, &PendingNN{e: e, mo: mo, frame: out.Pixels}, nil
 	case codec.BFrame:
+		e.stats.BFrames++
 		step := qos.StepRefine
 		if sel != nil {
-			step = sel(out.Info)
+			step = sel(info)
 		}
 		if step == qos.StepSkip {
 			break // shed: side info consumed, no mask computed
@@ -233,10 +258,11 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 		if step == qos.StepFull && out.Pixels != nil {
 			// Ladder top rung: the B-frame is re-segmented by NN-L as if it
 			// were an anchor, but reseg keeps it out of the reference window.
-			return nil, &PendingNN{e: e, mo: mo, frame: out.Pixels, reseg: true, info: out.Info}, nil
+			e.stats.NNLRuns++
+			return nil, &PendingNN{e: e, mo: mo, frame: out.Pixels, reseg: true, info: info}, nil
 		}
 		if step == qos.StepRefine {
-			if m := e.sourceMask(out.Info); m != nil {
+			if m := e.sourceMask(info); m != nil {
 				// Cache hit: reconstruction and NN-S are both skipped — the mask
 				// is a pure function of the chunk bytes, which the source keys on.
 				mo.Mask = m
@@ -244,19 +270,32 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 			}
 		}
 		t0 := p.Obs.Clock()
-		rec, rerr := segment.Reconstruct(out.Info, e.segs, e.w, e.h, e.cfg.BlockSize)
-		p.Obs.Span(obs.StageReconstruct, out.Info.Display, byte(out.Info.Type), t0)
+		rec, rerr := segment.Reconstruct(info, e.segs, e.w, e.h, e.cfg.BlockSize)
+		p.Obs.Span(obs.StageReconstruct, info.Display, byte(info.Type), t0)
 		if rerr != nil {
-			return nil, nil, fmt.Errorf("core: frame %d: %w", out.Info.Display, rerr)
+			return nil, nil, fmt.Errorf("core: frame %d: %w", info.Display, rerr)
 		}
-		if e.refiner == nil || step == qos.StepRecon {
+		e.stats.MVCount += len(info.MVs)
+		for _, mv := range info.MVs {
+			if mv.BiRef {
+				e.stats.BiRefMVs++
+			}
+		}
+		e.stats.IntraFallbackBlocks += info.Blocks - len(info.MVs)
+		if e.recons != nil {
+			e.recons[info.Display] = rec
+		}
+		if !e.refine || step == qos.StepRecon {
 			mo.Mask = rec.Binary()
 			break
 		}
-		prev, next := flankingAnchors(e.types, e.segs, out.Info.Display)
+		prev, next := flankingAnchors(e.types, e.segs, info.Display)
+		pn := &PendingNN{e: e, mo: mo, prev: prev, next: next, rec: rec}
 		if p.SkipResidual {
-			rect, dirty, total, known := segment.ResidualDirtyRect(out.Info.BlockEnergy, e.w, e.h, e.cfg.BlockSize, p.SkipThreshold, segment.ResidualHalo)
+			rect, dirty, total, known := segment.ResidualDirtyRect(info.BlockEnergy, e.w, e.h, e.cfg.BlockSize, p.SkipThreshold, segment.ResidualHalo)
 			if !known {
+				// No usable energy field (pre-field bitstream): the blocks were
+				// never judged, so they count as unknown, not dirty.
 				p.Obs.Count(obs.CounterQuantBlocksUnknown, int64(total))
 			} else {
 				p.Obs.Count(obs.CounterQuantBlocksSkipped, int64(total-dirty))
@@ -269,16 +308,13 @@ func (e *StreamEngine) StepPrepare(ctx context.Context, sel StepSelector) (mo *M
 				break
 			}
 			if !rect.Full(e.w, e.h) {
-				return nil, &PendingNN{
-					e: e, mo: mo,
-					prev: segment.CropMask(prev, rect),
-					next: segment.CropMask(next, rect),
-					rec:  rec.Crop(rect),
-					base: rec.Binary(), cropX: rect.X0, cropY: rect.Y0,
-				}, nil
+				pn.prev, pn.next, pn.rec = segment.CropMask(prev, rect), segment.CropMask(next, rect), rec.Crop(rect)
+				pn.base, pn.cropX, pn.cropY = rec.Binary(), rect.X0, rect.Y0
 			}
 		}
-		return nil, &PendingNN{e: e, mo: mo, prev: prev, next: next, rec: rec}, nil
+		e.stats.NNSRuns++
+		e.finishStep()
+		return nil, pn, nil
 	}
 	e.finishStep()
 	return mo, nil, nil

@@ -42,12 +42,13 @@ type Pipeline struct {
 	// 0 (the default) skips only blocks whose motion-compensated prediction
 	// was bit-exact at the coding QP.
 	SkipThreshold int
-	// Workers selects the execution mode: <= 1 runs the classic serial
-	// decode-order loop; > 1 runs the overlapped pipeline of Sec IV's agent
-	// unit in software — NN-L anchor inference proceeds as its own stage
-	// while B-frame reconstruction + refinement run on Workers goroutines
-	// as soon as their anchor dependencies resolve. Output is bit-identical
-	// either way (see WithWorkers).
+	// Workers sets how many goroutines run B-frame NN-S refinement — the
+	// overlap of Sec IV's agent unit in software: NN-L anchor inference and
+	// MV reconstruction proceed on the run's own goroutine while B-frames
+	// are refined on Workers goroutines. <= 1 runs everything on one
+	// goroutine, and so do runs without NN-S — RunDetection, and
+	// segmentation with Refine off. Output is bit-identical either way
+	// (see WithWorkers).
 	Workers int
 	// Obs, when non-nil, collects per-stage latency, queue-depth gauges and
 	// span traces for the run. Nil (the default) costs one pointer check
@@ -58,11 +59,12 @@ type Pipeline struct {
 // Option configures a Pipeline built with New.
 type Option func(*Pipeline)
 
-// WithWorkers sets the worker count of the overlapped execution mode.
-// n <= 1 keeps the serial decode-order loop; larger n overlaps B-frame
-// reconstruction and NN-S refinement with NN-L anchor inference on n
-// goroutines. Masks, detections, reconstructions and Stats are
-// bit-identical for every n, so benchmarks can sweep 1..NumCPU freely.
+// WithWorkers sets the number of B-frame refinement workers. n <= 1 runs
+// the whole pipeline on one goroutine; larger n refines B-frames on n
+// goroutines while NN-L anchor inference proceeds. Only NN-S runs on the
+// workers: detection and unrefined segmentation ignore n. Masks, detections,
+// reconstructions and Stats are bit-identical for every n, so benchmarks
+// can sweep 1..NumCPU freely.
 func WithWorkers(n int) Option {
 	return func(p *Pipeline) { p.Workers = n }
 }
@@ -110,8 +112,8 @@ type Result struct {
 // RunSegmentation executes the full Fig 5 flow on an encoded bitstream.
 //
 // On success the returned Result is complete. On error the Result is still
-// returned (not nil): its Stats hold exactly the counters the serial
-// decode-order loop accumulates up to and including the failing frame —
+// returned (not nil): its Stats hold exactly the counters of the frames
+// stepped in decode order up to and including the failing frame —
 // identical for every worker count — while its masks are partial and
 // unspecified. Callers that only check err keep their existing behaviour.
 func (p *Pipeline) RunSegmentation(stream []byte) (*Result, error) {
@@ -119,9 +121,9 @@ func (p *Pipeline) RunSegmentation(stream []byte) (*Result, error) {
 }
 
 // RunSegmentationContext is RunSegmentation with cancellation: the context
-// is checked before every frame (serial) or decode step (parallel); a
-// cancelled run returns ctx.Err() after all its goroutines have drained.
-// The partial Result's masks and Stats are unspecified on cancellation.
+// is checked before every frame; a cancelled run returns ctx.Err() after
+// its refinement workers have drained. The partial Result's masks and
+// Stats are unspecified on cancellation.
 func (p *Pipeline) RunSegmentationContext(ctx context.Context, stream []byte) (*Result, error) {
 	dec, err := codec.DecodeObserved(stream, codec.DecodeSideInfo, p.Obs)
 	if err != nil {
@@ -130,129 +132,31 @@ func (p *Pipeline) RunSegmentationContext(ctx context.Context, stream []byte) (*
 	return p.runDecoded(ctx, dec)
 }
 
-// refiner builds the NN-S wrapper for one goroutine. The network is cloned
-// whenever it cannot be used in place: always in the parallel paths (layers
-// cache activations), and in serial paths when an observer must be attached
-// without mutating the caller's network.
-func (p *Pipeline) refiner(clone bool) *segment.Refiner {
-	if !p.Refine {
-		return nil
+// streaming returns the engine configuration of the batch pipeline; the
+// worker count is passed to the engine directly.
+func (p *Pipeline) streaming() *StreamingPipeline {
+	return &StreamingPipeline{
+		NNL: p.NNL, NNS: p.NNS, Quant: p.Quant, Refine: p.Refine,
+		SkipResidual: p.SkipResidual, SkipThreshold: p.SkipThreshold,
+		Obs: p.Obs,
 	}
-	if p.Quant != nil {
-		q := p.Quant
-		if clone || p.Obs != nil {
-			q = q.Clone()
-			if p.Obs != nil {
-				q.SetObserver(p.Obs)
-			}
-		}
-		return segment.NewQuantRefiner(q)
-	}
-	if p.NNS == nil {
-		return nil
-	}
-	net := p.NNS
-	if clone || p.Obs != nil {
-		net = net.Clone()
-		if p.Obs != nil {
-			net.SetObserver(p.Obs)
-		}
-	}
-	return segment.NewRefiner(net)
 }
 
-// refineB computes one B-frame's refined mask, applying the residual skip
-// when enabled: clean frames reuse the MV reconstruction without touching
-// NN-S, partially dirty frames refine only the dirty rectangle (cropped
-// sandwich, pasted back over the reconstruction). The bool reports whether
-// NN-S actually ran. Used identically by the serial and parallel loops, so
-// their outputs stay bit-identical.
-func (p *Pipeline) refineB(r *segment.Refiner, info codec.FrameInfo, rec *segment.ReconMask, prev, next *video.Mask, w, h, blockSize int) (*video.Mask, bool) {
-	if !p.SkipResidual {
-		return r.Refine(prev, rec, next), true
-	}
-	rect, dirty, total, known := segment.ResidualDirtyRect(info.BlockEnergy, w, h, blockSize, p.SkipThreshold, segment.ResidualHalo)
-	if !known {
-		// No usable energy field (pre-field bitstream): the blocks were never
-		// judged, so they count as unknown, not dirty.
-		p.Obs.Count(obs.CounterQuantBlocksUnknown, int64(total))
-	} else {
-		p.Obs.Count(obs.CounterQuantBlocksSkipped, int64(total-dirty))
-		p.Obs.Count(obs.CounterQuantBlocksDirty, int64(dirty))
-	}
-	if rect.Empty() {
-		return rec.Binary(), false
-	}
-	if rect.Full(w, h) {
-		return r.Refine(prev, rec, next), true
-	}
-	base := rec.Binary()
-	sub := r.Refine(segment.CropMask(prev, rect), rec.Crop(rect), segment.CropMask(next, rect))
-	segment.PasteMask(base, sub, rect.X0, rect.Y0)
-	return base, true
-}
-
+// runDecoded replays an up-front decode through one engine.
 func (p *Pipeline) runDecoded(ctx context.Context, dec *codec.DecodeResult) (*Result, error) {
-	if p.workers() > 1 {
-		return p.runDecodedParallel(ctx, dec)
-	}
 	res := &Result{
 		Masks:  make([]*video.Mask, len(dec.Types)),
 		Recons: make(map[int]*segment.ReconMask),
 		Decode: dec,
 	}
-	refiner := p.refiner(false)
-	segs := make(map[int]*video.Mask) // anchor segmentations by display index
-	for _, d := range dec.Order {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		info := dec.Infos[d]
-		switch info.Type {
-		case codec.IFrame, codec.PFrame:
-			t0 := p.Obs.Clock()
-			m := p.NNL.Segment(dec.Frames[d], d)
-			p.Obs.Span(obs.StageNNL, d, byte(info.Type), t0)
-			segs[d] = m
-			res.Masks[d] = m
-			res.Stats.NNLRuns++
-			if info.Type == codec.IFrame {
-				res.Stats.IFrames++
-			} else {
-				res.Stats.PFrames++
-			}
-		case codec.BFrame:
-			res.Stats.BFrames++
-			t0 := p.Obs.Clock()
-			rec, err := segment.Reconstruct(info, segs, dec.W, dec.H, dec.Cfg.BlockSize)
-			p.Obs.Span(obs.StageReconstruct, d, byte(info.Type), t0)
-			if err != nil {
-				return res, fmt.Errorf("core: frame %d: %w", d, err)
-			}
-			res.Recons[d] = rec
-			res.Stats.MVCount += len(info.MVs)
-			for _, mv := range info.MVs {
-				if mv.BiRef {
-					res.Stats.BiRefMVs++
-				}
-			}
-			res.Stats.IntraFallbackBlocks += info.Blocks - len(info.MVs)
-			if refiner != nil {
-				prev, next := flankingAnchors(dec.Types, segs, d)
-				t1 := p.Obs.Clock()
-				m, ran := p.refineB(refiner, info, rec, prev, next, dec.W, dec.H, dec.Cfg.BlockSize)
-				res.Masks[d] = m
-				p.Obs.Span(obs.StageRefine, d, byte(info.Type), t1)
-				if ran {
-					res.Stats.NNSRuns++
-				}
-			} else {
-				res.Masks[d] = rec.Binary()
-			}
-		}
-		p.Obs.GaugeSet(obs.GaugeRefWindow, int64(len(segs)))
-	}
-	return res, nil
+	e := p.streaming().replayEngine(dec, p.workers())
+	e.recons = res.Recons
+	_, err := e.run(ctx, func(mo *MaskOut) error {
+		res.Masks[mo.Display] = mo.Mask
+		return nil
+	})
+	res.Stats = e.stats
+	return res, err
 }
 
 // FlankingAnchors returns the segmentations of the immediately preceding
@@ -313,8 +217,8 @@ type DetectionResult struct {
 // propagated mask's bounding box is the B-frame detection (Sec III-B).
 //
 // Error-path Stats follow the RunSegmentation contract: on failure the
-// returned result carries the serial decode-order prefix counters,
-// identical for every worker count.
+// returned result carries the decode-order prefix counters, identical for
+// every worker count.
 func (p *Pipeline) RunDetection(stream []byte, det BoxDetector) (*DetectionResult, error) {
 	return p.RunDetectionContext(context.Background(), stream, det)
 }
@@ -329,44 +233,46 @@ func (p *Pipeline) RunDetectionContext(ctx context.Context, stream []byte, det B
 	return p.runDetectionDecoded(ctx, dec, det)
 }
 
+// runDetectionDecoded replays an up-front decode through one engine whose
+// NN-L is the detector. Boxes propagate by MV reconstruction alone — the
+// detection form has no NN-S — so the pipeline's refinement settings and
+// Workers do not apply: the whole run is on the caller's goroutine.
 func (p *Pipeline) runDetectionDecoded(ctx context.Context, dec *codec.DecodeResult, det BoxDetector) (*DetectionResult, error) {
-	if p.workers() > 1 {
-		return p.runDetectionParallel(ctx, dec, det)
-	}
 	res := &DetectionResult{
 		Detections: make([][]detect.Detection, len(dec.Types)),
 		Decode:     dec,
 	}
-	boxMasks := make(map[int]*video.Mask)
-	scores := make(map[int]float64)
-	for _, d := range dec.Order {
-		if err := ctx.Err(); err != nil {
-			return res, err
+	nnl := &boxSegmenter{det: det, dets: res.Detections, scores: make([]float64, len(dec.Types))}
+	e := (&StreamingPipeline{NNL: nnl, Obs: p.Obs}).replayEngine(dec, 1)
+	_, err := e.run(ctx, func(mo *MaskOut) error {
+		if mo.Type == codec.BFrame {
+			res.Detections[mo.Display] = bDetection(dec.Infos[mo.Display], mo.Mask, nnl.scores)
 		}
-		info := dec.Infos[d]
-		if info.Type.IsAnchor() {
-			t0 := p.Obs.Clock()
-			dets := det.Detect(dec.Frames[d], d)
-			p.Obs.Span(obs.StageNNL, d, byte(info.Type), t0)
-			res.Detections[d] = dets
-			res.Stats.NNLRuns++
-			m, s := anchorBoxMask(dets, dec.W, dec.H)
-			boxMasks[d] = m
-			scores[d] = s
-			continue
-		}
-		res.Stats.BFrames++
-		t0 := p.Obs.Clock()
-		dets, err := bDetection(info, boxMasks, scores, dec.W, dec.H, dec.Cfg.BlockSize)
-		p.Obs.Span(obs.StageReconstruct, d, byte(info.Type), t0)
-		if err != nil {
-			return res, fmt.Errorf("core: frame %d: %w", d, err)
-		}
-		res.Stats.MVCount += len(info.MVs)
-		res.Detections[d] = dets
-	}
-	return res, nil
+		return nil
+	})
+	res.Stats = e.stats
+	return res, err
 }
+
+// boxSegmenter is the NN-L of the detection pipeline: it runs the detector
+// on an anchor, records the detections and their best score, and
+// rasterizes the boxes into the mask the B-frame reconstruction
+// propagates.
+type boxSegmenter struct {
+	det    BoxDetector
+	dets   [][]detect.Detection // by display index
+	scores []float64            // best anchor score, by display index
+}
+
+func (b *boxSegmenter) Segment(f *video.Frame, display int) *video.Mask {
+	dets := b.det.Detect(f, display)
+	b.dets[display] = dets
+	m, s := anchorBoxMask(dets, f.W, f.H)
+	b.scores[display] = s
+	return m
+}
+
+func (b *boxSegmenter) Name() string { return b.det.Name() }
 
 // anchorBoxMask rasterizes an anchor frame's detections into the mask the
 // B-frame reconstruction propagates, and returns the best score.
@@ -382,32 +288,26 @@ func anchorBoxMask(dets []detect.Detection, w, h int) (*video.Mask, float64) {
 	return m, s
 }
 
-// bDetection reconstructs one B-frame's detection from its motion vectors
-// and the propagated anchor box masks (Sec III-B).
-func bDetection(info codec.FrameInfo, boxMasks map[int]*video.Mask, scores map[int]float64, w, h, blockSize int) ([]detect.Detection, error) {
-	rec, err := segment.Reconstruct(info, boxMasks, w, h, blockSize)
-	if err != nil {
-		return nil, err
-	}
-	score := 0.0
-	n := 0
-	for _, mv := range info.MVs {
-		score += scores[mv.Ref]
-		n++
-	}
-	if n > 0 {
-		score /= float64(n)
-	} else {
-		score = 0.5
+// bDetection derives one B-frame's detection from its propagated box mask
+// (the unrefined MV reconstruction) and the scores of the anchors its
+// motion vectors reference (Sec III-B).
+func bDetection(info codec.FrameInfo, mask *video.Mask, scores []float64) []detect.Detection {
+	score := 0.5
+	if len(info.MVs) > 0 {
+		score = 0
+		for _, mv := range info.MVs {
+			score += scores[mv.Ref]
+		}
+		score /= float64(len(info.MVs))
 	}
 	// Stray blocks whose motion vectors grazed the reference box would
 	// blow up the bounding box; keep only the dominant component and trim
 	// macro-block protrusions from its extent.
-	box := detect.RobustBox(segment.LargestComponent(rec.Binary()), 0.02)
+	box := detect.RobustBox(segment.LargestComponent(mask), 0.02)
 	if box.Empty() {
-		return nil, nil
+		return nil
 	}
-	return []detect.Detection{{Box: box, Score: score}}, nil
+	return []detect.Detection{{Box: box, Score: score}}
 }
 
 func fillRect(m *video.Mask, r video.Rect) {

@@ -35,11 +35,12 @@ type StreamingPipeline struct {
 	// Pipeline.SkipResidual).
 	SkipResidual  bool
 	SkipThreshold int
-	// Workers selects the execution mode: <= 1 runs the serial decode loop;
-	// > 1 overlaps B-frame reconstruction + refinement with decoding and
-	// NN-L inference on that many goroutines, with results re-serialized
-	// into decode order. Emitted masks and maxSegs are bit-identical either
-	// way.
+	// Workers sets how many goroutines run B-frame NN-S refinement while
+	// the run's own goroutine keeps decoding, reconstructing and running
+	// NN-L on the anchors; results are emitted in decode order. <= 1 runs
+	// everything on the caller's goroutine, and so does a run with Refine
+	// off: only NN-S runs on the workers. Emitted masks and maxSegs are
+	// bit-identical for every value.
 	Workers int
 	// MaskSource, when non-nil, is consulted once per non-dropped frame
 	// before any of the frame's NN work, with the frame's display index and
@@ -51,17 +52,18 @@ type StreamingPipeline struct {
 	// would have computed — the serving layer's content-addressed cache
 	// guarantees it by keying on the chunk bytes and the models. The frame's
 	// bitstream is always decoded first regardless (the entropy coder must
-	// advance, and anchor pixels are codec reference state). Consulted by
-	// the serial StreamEngine only; the overlapped parallel runner (Workers
-	// > 1) computes locally, which is slower but identical.
+	// advance, and anchor pixels are codec reference state). It is consulted
+	// at every Workers value, always from the goroutine that steps the
+	// engine.
 	MaskSource func(display int, t codec.FrameType) *video.Mask
 	// Obs, when non-nil, collects per-stage latency, queue-depth gauges
 	// (job queue, emit queue, busy workers, reference window) and span
 	// traces. Nil costs one pointer check per site.
 	Obs *obs.Collector
 
-	// refiner is the NN-S wrapper every serial engine of this pipeline
-	// shares (engines of one pipeline never run concurrently), built for
+	// refiner is the NN-S wrapper every engine of this pipeline shares for
+	// inline refinement (engines of one pipeline never run concurrently;
+	// refinement workers use clones of their own), built for
 	// the configuration in refinerKey and rebuilt when that changes — when
 	// SetRefineNet swaps the weights, not once per chunk.
 	refiner    *segment.Refiner
@@ -95,27 +97,51 @@ func (p *StreamingPipeline) SetRefineNet(net *nn.RefineNet, quant *nn.QuantRefin
 	p.Quant = quant
 }
 
-// engineRefiner returns the NN-S wrapper for the next serial engine:
-// the cached one while the weights and observer it was built for are
-// current, a fresh one otherwise. Rebuilding clones the network (see
-// Pipeline.refiner), so reusing it spares a clone per chunk and keeps the
-// network's warmed kernel scratch.
+// engineRefiner returns the NN-S wrapper for the next engine: the cached
+// one while the weights and observer it was built for are current, a fresh
+// one otherwise. Rebuilding clones the network (see newRefiner), so reusing
+// it spares a clone per chunk and keeps the network's warmed kernel
+// scratch.
 func (p *StreamingPipeline) engineRefiner() *segment.Refiner {
 	key := refinerKey{nns: p.NNS, quant: p.Quant, obs: p.Obs, refine: p.Refine}
 	if p.refiner == nil || key != p.refinerKey {
-		p.refiner, p.refinerKey = p.pipeline().refiner(false), key
+		p.refiner, p.refinerKey = p.newRefiner(false), key
 	}
 	return p.refiner
 }
 
-// pipeline adapts the streaming configuration to the batch Pipeline so the
-// two forms share the refiner construction rules.
-func (p *StreamingPipeline) pipeline() *Pipeline {
-	return &Pipeline{
-		NNL: p.NNL, NNS: p.NNS, Quant: p.Quant, Refine: p.Refine,
-		SkipResidual: p.SkipResidual, SkipThreshold: p.SkipThreshold,
-		Workers: p.Workers, Obs: p.Obs,
+// refines reports whether the pipeline refines B-frames with NN-S: Refine
+// is set and there is a float or int8 network to refine with.
+func (p *StreamingPipeline) refines() bool {
+	return p.Refine && (p.NNS != nil || p.Quant != nil)
+}
+
+// newRefiner builds an NN-S wrapper, or nil when refinement is off. The
+// network is cloned whenever it cannot be used in place: always for a
+// refinement worker (layers cache activations), and otherwise when an
+// observer must be attached without mutating the caller's network.
+func (p *StreamingPipeline) newRefiner(clone bool) *segment.Refiner {
+	if !p.refines() {
+		return nil
 	}
+	if p.Quant != nil {
+		q := p.Quant
+		if clone || p.Obs != nil {
+			q = q.Clone()
+			if p.Obs != nil {
+				q.SetObserver(p.Obs)
+			}
+		}
+		return segment.NewQuantRefiner(q)
+	}
+	net := p.NNS
+	if clone || p.Obs != nil {
+		net = net.Clone()
+		if p.Obs != nil {
+			net.SetObserver(p.Obs)
+		}
+	}
+	return segment.NewRefiner(net)
 }
 
 // Run decodes the stream incrementally and calls emit for every frame's
@@ -126,9 +152,8 @@ func (p *StreamingPipeline) Run(stream []byte, emit func(MaskOut) error) error {
 }
 
 // RunContext is Run with cancellation: the context is checked before every
-// frame (serial mode) or every decode step (parallel mode), and a
-// cancelled run returns ctx.Err() after draining its goroutines — no
-// worker or emitter outlives the call.
+// frame, and a cancelled run returns ctx.Err() after its refinement
+// workers have drained — no goroutine outlives the call.
 func (p *StreamingPipeline) RunContext(ctx context.Context, stream []byte, emit func(MaskOut) error) error {
 	_, err := p.RunInstrumentedContext(ctx, stream, emit)
 	return err
@@ -142,33 +167,20 @@ func (p *StreamingPipeline) RunInstrumented(stream []byte, emit func(MaskOut) er
 
 // RunInstrumentedContext is RunInstrumented with cancellation plumbed down
 // to the per-frame loop. Frames emitted before the cancellation are a
-// prefix of the uncancelled run; in parallel mode, frames already in
-// flight when the context fires are still completed and emitted so the
+// prefix of the uncancelled run; frames whose refinement is already in
+// flight when the context fires are still completed and emitted, so the
 // emitted sequence remains a clean decode-order prefix.
 func (p *StreamingPipeline) RunInstrumentedContext(ctx context.Context, stream []byte, emit func(MaskOut) error) (maxSegs int, err error) {
-	if p.Workers > 1 {
-		return p.runInstrumentedParallel(ctx, stream, emit)
-	}
 	dec, err := codec.NewStreamDecoder(stream, codec.DecodeSideInfo)
 	if err != nil {
 		return 0, fmt.Errorf("core: stream decoder: %w", err)
 	}
-	e := p.NewEngine(dec)
-	for {
-		mo, err := e.Step(ctx)
-		if err != nil {
-			return e.MaxSegs(), err
-		}
-		if mo == nil {
-			return e.MaxSegs(), nil
-		}
+	return p.decoderEngine(dec, p.Workers).run(ctx, func(mo *MaskOut) error {
 		t0 := p.Obs.Clock()
-		err = emit(*mo)
+		err := emit(*mo)
 		p.Obs.Span(obs.StageEmit, mo.Display, byte(mo.Type), t0)
-		if err != nil {
-			return e.MaxSegs(), err
-		}
-	}
+		return err
+	})
 }
 
 // segLastUse computes, per anchor display index, the last decode position

@@ -2,39 +2,107 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"vrdann/internal/codec"
+	"vrdann/internal/nn"
 	"vrdann/internal/obs"
 	"vrdann/internal/segment"
+	"vrdann/internal/video"
 )
 
+// TestStreamingPipelineMatchesBatchPipeline pins that the batch and
+// streaming entry points step the same engine: every configuration of
+// refinement, residual skip and worker count serves identical masks.
 func TestStreamingPipelineMatchesBatchPipeline(t *testing.T) {
 	v := makeTestVideo(18, 1.2)
 	stream := encodeTestVideo(t, v)
 	oracle := segment.NewOracle("oracle", v.Masks, 0.05, 3, 1)
+	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
+	for _, refine := range []bool{false, true} {
+		for _, skip := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				name := fmt.Sprintf("refine=%v/skip=%v/workers=%d", refine, skip, workers)
+				t.Run(name, func(t *testing.T) {
+					batch := &Pipeline{NNL: oracle, NNS: nns, Refine: refine, SkipResidual: skip, Workers: workers}
+					bres, err := batch.RunSegmentation(stream)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sp := &StreamingPipeline{NNL: oracle, NNS: nns, Refine: refine, SkipResidual: skip, Workers: workers}
+					got := make(map[int]MaskOut)
+					if err := sp.Run(stream, func(m MaskOut) error {
+						got[m.Display] = m
+						return nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != v.Len() {
+						t.Fatalf("emitted %d masks, want %d", len(got), v.Len())
+					}
+					for d := range bres.Masks {
+						if !maskEqual(got[d].Mask, bres.Masks[d]) {
+							t.Fatalf("frame %d: streaming mask differs from batch mask", d)
+						}
+					}
+				})
+			}
+		}
+	}
+}
 
-	batch := &Pipeline{NNL: oracle, Refine: false}
-	bres, err := batch.RunSegmentation(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
+// countingSegmenter counts NN-L calls.
+type countingSegmenter struct {
+	segment.Segmenter
+	calls atomic.Int64
+}
 
-	sp := &StreamingPipeline{NNL: oracle, Refine: false}
-	got := make(map[int]MaskOut)
-	if err := sp.Run(stream, func(m MaskOut) error {
-		got[m.Display] = m
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+func (c *countingSegmenter) Segment(f *video.Frame, display int) *video.Mask {
+	c.calls.Add(1)
+	return c.Segmenter.Segment(f, display)
+}
+
+// TestMaskSourceHonouredAtEveryWorkerCount pins that a MaskSource
+// supplying every frame's mask completes the run without any NN work, at
+// every worker count: masks come back bit-identical, NN-L is never called
+// and NN-S never runs a forward pass.
+func TestMaskSourceHonouredAtEveryWorkerCount(t *testing.T) {
+	v := makeTestVideo(24, 1.5)
+	stream := encodeTestVideo(t, v)
+	oracle := segment.NewOracle("oracle", v.Masks, 0.05, 1, 9)
+	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
+	_, refOuts := collectStream(t, &StreamingPipeline{NNL: oracle, NNS: nns, Refine: true}, stream)
+	ref := make(map[int]*video.Mask)
+	for _, mo := range refOuts {
+		ref[mo.Display] = mo.Mask
 	}
-	if len(got) != v.Len() {
-		t.Fatalf("emitted %d masks, want %d", len(got), v.Len())
-	}
-	for d := range bres.Masks {
-		if segment.IoU(got[d].Mask, bres.Masks[d]) != 1 {
-			t.Fatalf("frame %d: streaming mask differs from batch mask", d)
+	for _, nw := range []int{1, 2, 4} {
+		nnl := &countingSegmenter{Segmenter: oracle}
+		c := obs.New()
+		sp := &StreamingPipeline{
+			NNL: nnl, NNS: nns, Refine: true, Workers: nw, Obs: c,
+			MaskSource: func(d int, _ codec.FrameType) *video.Mask { return ref[d] },
+		}
+		_, outs := collectStream(t, sp, stream)
+		if len(outs) != len(refOuts) {
+			t.Fatalf("workers=%d emitted %d frames, want %d", nw, len(outs), len(refOuts))
+		}
+		for i, mo := range outs {
+			if mo.Display != refOuts[i].Display || !maskEqual(mo.Mask, refOuts[i].Mask) {
+				t.Fatalf("workers=%d emit %d (frame %d) differs from the reference", nw, i, mo.Display)
+			}
+		}
+		if n := nnl.calls.Load(); n != 0 {
+			t.Fatalf("workers=%d: NN-L called %d times despite a complete mask source", nw, n)
+		}
+		for _, st := range c.Snapshot().Stages {
+			if (st.Name == obs.StageNNSConv1.String() || st.Name == obs.StageRefine.String()) && st.Count != 0 {
+				t.Fatalf("workers=%d: %d %s spans despite a complete mask source", nw, st.Count, st.Name)
+			}
 		}
 	}
 }
@@ -175,5 +243,38 @@ func TestEngineRefinerRebuiltOnlyOnSwap(t *testing.T) {
 	sp.SetRefineNet(adapted, nil)
 	if r4 := refiner(); r4.Quant != nil || r4.Net == nil {
 		t.Fatal("clearing the int8 tier did not return to float refinement")
+	}
+}
+
+// TestWorkerRunBuildsNoInlineRefiner pins that a run with refinement
+// workers refines only on the workers' clones: it builds no inline refiner
+// (for an observed pipeline, one more clone of NN-S), while a run without
+// workers builds and caches one.
+func TestWorkerRunBuildsNoInlineRefiner(t *testing.T) {
+	v := makeTestVideo(18, 1.2)
+	stream := encodeTestVideo(t, v)
+	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
+	sp := &StreamingPipeline{NNL: segment.NewOracle("oracle", v.Masks, 0, 0, 1), NNS: nns, Refine: true, Workers: 2, Obs: obs.New()}
+	refined := 0
+	if err := sp.Run(stream, func(mo MaskOut) error {
+		if mo.Type == codec.BFrame {
+			refined++
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if refined == 0 {
+		t.Fatal("stream has no B-frames to refine")
+	}
+	if sp.refiner != nil {
+		t.Fatal("a run with workers built an inline refiner")
+	}
+	sp.Workers = 1
+	if err := sp.Run(stream, func(MaskOut) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if sp.refiner == nil {
+		t.Fatal("a run without workers did not build its inline refiner")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"time"
 
 	"vrdann/internal/obs"
 	"vrdann/internal/segment"
@@ -12,22 +11,19 @@ import (
 
 // CacheRow is one point of the content-cache sweep: viewers concurrent
 // sessions per distinct content, each submitting two chunks of its content,
-// served once without the cache and once with it. The broadcast column
-// (contents == 1 only) is the single-decode fan-out upper bound: one
-// backing session, viewers attached consumers.
+// served once without the cache and once with it.
 type CacheRow struct {
-	Viewers      int     `json:"viewers"`  // sessions per distinct content
-	Contents     int     `json:"contents"` // distinct contents offered
-	Frames       int     `json:"frames"`   // frames served (cached run)
-	UncachedFPS  float64 `json:"uncachedFps"`
-	CachedFPS    float64 `json:"cachedFps"`
-	Speedup      float64 `json:"speedup"`
-	Hits         int64   `json:"hits"`
-	Misses       int64   `json:"misses"`
-	HitRate      float64 `json:"hitRate"`
-	Evictions    int64   `json:"evictions"`
-	BytesSaved   int64   `json:"bytesSaved"`
-	BroadcastFPS float64 `json:"broadcastFps"` // viewer-frames/s; 0 unless contents == 1
+	Viewers     int     `json:"viewers"`  // sessions per distinct content
+	Contents    int     `json:"contents"` // distinct contents offered
+	Frames      int     `json:"frames"`   // frames served (cached run)
+	UncachedFPS float64 `json:"uncachedFps"`
+	CachedFPS   float64 `json:"cachedFps"`
+	Speedup     float64 `json:"speedup"`
+	Hits        int64   `json:"hits"`
+	Misses      int64   `json:"misses"`
+	HitRate     float64 `json:"hitRate"`
+	Evictions   int64   `json:"evictions"`
+	BytesSaved  int64   `json:"bytesSaved"`
 }
 
 var (
@@ -76,11 +72,6 @@ func (h *Harness) CacheFigure() ([]CacheRow, error) {
 			}
 			if row.Hits+row.Misses > 0 {
 				row.HitRate = float64(row.Hits) / float64(row.Hits+row.Misses)
-			}
-			if contents == 1 {
-				if row.BroadcastFPS, err = h.broadcastRun(vids[0], viewers); err != nil {
-					return nil, err
-				}
 			}
 			rows = append(rows, row)
 		}
@@ -136,59 +127,4 @@ func (h *Harness) cacheRun(vids []*video.Video, viewers int, cacheBytes int64) (
 		return nil, nil, err
 	}
 	return rep, col.Snapshot(), nil
-}
-
-// broadcastRun measures the single-decode fan-out mode: one backing
-// session, viewers attached consumers, two chunks. Reported as delivered
-// viewer-frames per second — the aggregate a fleet of per-viewer sessions
-// would have to compute to match.
-func (h *Harness) broadcastRun(v *video.Video, viewers int) (float64, error) {
-	st, err := h.StreamFor(v, h.Cfg.Enc)
-	if err != nil {
-		return 0, err
-	}
-	nns, err := h.NNS()
-	if err != nil {
-		return 0, err
-	}
-	srv, err := serve.NewServer(serve.Config{
-		MaxSessions: 1,
-		NNS:         nns,
-		Obs:         obs.New(),
-		NewSegmenter: func(string) segment.Segmenter {
-			return h.nnlFor(v, "NN-L(FAVOS)", h.Cfg.FAVOSNoise, 3)
-		},
-	})
-	if err != nil {
-		return 0, err
-	}
-	b, err := srv.OpenBroadcast()
-	if err != nil {
-		return 0, err
-	}
-	delivered := 0
-	for i := 0; i < viewers; i++ {
-		b.Attach(func(serve.FrameResult) { delivered++ })
-	}
-	start := time.Now()
-	frames := 0
-	for c := 0; c < 2; c++ {
-		res, err := b.Submit(context.Background(), st.Data)
-		if err != nil {
-			return 0, err
-		}
-		frames += len(res)
-	}
-	elapsed := time.Since(start)
-	b.Close()
-	if err := srv.Close(context.Background()); err != nil {
-		return 0, err
-	}
-	if delivered != frames*viewers {
-		return 0, nil // defensive: fan-out accounting broke; report nothing
-	}
-	if elapsed <= 0 {
-		return 0, nil
-	}
-	return float64(delivered) / elapsed.Seconds(), nil
 }

@@ -60,10 +60,11 @@ type Config struct {
 	// Workers bounds the per-video parallelism of the suite loops
 	// (0 = min(NumCPU, 8)).
 	Workers int
-	// PipelineWorkers selects the intra-pipeline execution mode: > 1 runs
-	// each VR-DANN pipeline in its overlapped form (core.WithWorkers);
-	// <= 1 keeps the serial decode-order loop. Results are bit-identical,
-	// so accuracy tables are unaffected.
+	// PipelineWorkers is each VR-DANN pipeline's NN-S worker count
+	// (core.WithWorkers): > 1 refines B-frames on that many goroutines
+	// beside NN-L, <= 1 refines inline; detection has no NN-S and runs on
+	// one goroutine either way. Results are bit-identical, so accuracy
+	// tables are unaffected.
 	PipelineWorkers int
 }
 

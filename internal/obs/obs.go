@@ -91,24 +91,23 @@ type Gauge uint8
 
 // Pipeline gauges.
 const (
-	GaugeJobQueue         Gauge = iota // B-frame jobs submitted but not yet finished
-	GaugeEmitQueue                     // frames awaiting decode-order emission
-	GaugeWorkers                       // workers currently executing a B-frame job
-	GaugeRefWindow                     // reference segmentations held in the window
-	GaugeSessions                      // serving layer: admitted sessions
-	GaugePending                       // serving layer: frames queued but not yet served
-	GaugeBatchQueue                    // batching engine: items enqueued but not yet flushed
-	GaugeCacheEntries                  // content cache: entries resident
-	GaugeCacheBytes                    // content cache: bytes resident
-	GaugeBroadcastViewers              // broadcast mode: viewers attached across all broadcasts
-	GaugeNodes                         // shard gateway: backends registered on the ring
-	GaugeNodesHealthy                  // shard gateway: backends currently routable (healthy, breaker closed)
-	GaugeGateSessions                  // shard gateway: client sessions tracked by the gateway
-	GaugeQoSPressure                   // qos ladder: smoothed load pressure, in thousandths
-	GaugeQoSBatchWidth                 // qos ladder: controller-set effective batch width
-	GaugeAdaptDriftF                   // adaptation: rolling refined-vs-anchor F-score, in thousandths
-	GaugeAdaptLoss                     // adaptation: last fine-tune BCE loss, in thousandths
-	GaugeAdaptVersion                  // adaptation: serving weights version (0 = base model)
+	GaugeJobQueue      Gauge = iota // B-frame jobs submitted but not yet finished
+	GaugeEmitQueue                  // frames awaiting decode-order emission
+	GaugeWorkers                    // workers currently executing a B-frame job
+	GaugeRefWindow                  // reference segmentations held in the window
+	GaugeSessions                   // serving layer: admitted sessions
+	GaugePending                    // serving layer: frames queued but not yet served
+	GaugeBatchQueue                 // batching engine: items enqueued but not yet flushed
+	GaugeCacheEntries               // content cache: entries resident
+	GaugeCacheBytes                 // content cache: bytes resident
+	GaugeNodes                      // shard gateway: backends registered on the ring
+	GaugeNodesHealthy               // shard gateway: backends currently routable (healthy, breaker closed)
+	GaugeGateSessions               // shard gateway: client sessions tracked by the gateway
+	GaugeQoSPressure                // qos ladder: smoothed load pressure, in thousandths
+	GaugeQoSBatchWidth              // qos ladder: controller-set effective batch width
+	GaugeAdaptDriftF                // adaptation: rolling refined-vs-anchor F-score, in thousandths
+	GaugeAdaptLoss                  // adaptation: last fine-tune BCE loss, in thousandths
+	GaugeAdaptVersion               // adaptation: serving weights version (0 = base model)
 
 	// NumGauges bounds the Gauge enum; keep it last.
 	NumGauges
@@ -124,7 +123,6 @@ var gaugeNames = [NumGauges]string{
 	"batch-queue",
 	"cache-entries",
 	"cache-bytes",
-	"broadcast-viewers",
 	"nodes",
 	"nodes-healthy",
 	"gate-sessions",
@@ -172,7 +170,6 @@ const (
 	CounterCacheEvictions                     // content cache: entries evicted by the byte budget
 	CounterCacheBytesSaved                    // content cache: mask bytes served without recomputation
 	CounterCacheFillAborts                    // content cache: in-flight fills invalidated by a failed step
-	CounterBroadcastFrames                    // broadcast mode: frames fanned out to attached viewers
 	CounterMigrations                         // shard gateway: sessions live-migrated to another backend
 	CounterRebalances                         // shard gateway: migrations caused by ring-ownership change (scale up/down)
 	CounterNodeBreakerTrips                   // shard gateway: node-level circuit-breaker trips
@@ -217,7 +214,6 @@ var counterNames = [NumCounters]string{
 	"cache/evictions",
 	"cache/bytes-saved",
 	"cache/fill-aborts",
-	"broadcast/fanout-frames",
 	"shard/migrations",
 	"shard/rebalances",
 	"shard/node-breaker-trips",

@@ -345,81 +345,3 @@ func TestCorruptChunkCannotPoisonCache(t *testing.T) {
 		}
 	}
 }
-
-// TestBroadcastFanOut: one backing session decodes a chunk once; every
-// attached viewer receives the full display-ordered result set, the fanout
-// counter records frames × viewers, and the viewer gauge tracks
-// attach/detach.
-func TestBroadcastFanOut(t *testing.T) {
-	nns := nn.NewRefineNet(rand.New(rand.NewSource(11)), 4)
-	v := contentVideo(0)
-	chunk := encodeTestVideo(t, v)
-	ref := serialReference(t, v, chunk, nns)
-
-	col := obs.New()
-	srv, err := NewServer(Config{
-		MaxSessions: 2,
-		Workers:     2,
-		NewSegmenter: func(string) segment.Segmenter {
-			return segment.NewOracle("bcast", v.Masks, 0.05, 2, 7)
-		},
-		NNS:        nns,
-		CacheBytes: 64 << 20,
-		Obs:        col,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := srv.OpenBroadcast()
-	if err != nil {
-		t.Fatal(err)
-	}
-	const nViewers = 4
-	got := make([][]FrameResult, nViewers)
-	views := make([]*Viewer, nViewers)
-	for i := 0; i < nViewers; i++ {
-		i := i
-		views[i] = b.Attach(func(r FrameResult) { got[i] = append(got[i], r) })
-	}
-	if b.Viewers() != nViewers {
-		t.Fatalf("Viewers() = %d", b.Viewers())
-	}
-	res, err := b.Submit(context.Background(), chunk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != len(ref) {
-		t.Fatalf("broadcast served %d frames, want %d", len(res), len(ref))
-	}
-	for i := 0; i < nViewers; i++ {
-		if len(got[i]) != len(ref) {
-			t.Fatalf("viewer %d received %d frames, want %d", i, len(got[i]), len(ref))
-		}
-		for j := range got[i] {
-			if !bytes.Equal(got[i][j].Mask.Pix, ref[j].Mask.Pix) {
-				t.Fatalf("viewer %d frame %d: mask diverges", i, j)
-			}
-		}
-	}
-	snap := col.Snapshot()
-	if fan := snap.Counters[obs.CounterBroadcastFrames.String()]; fan != int64(len(ref)*nViewers) {
-		t.Fatalf("fanout counter = %d, want %d", fan, len(ref)*nViewers)
-	}
-	views[0].Detach()
-	if b.Viewers() != nViewers-1 {
-		t.Fatalf("Viewers() after detach = %d", b.Viewers())
-	}
-	var gv int64 = -1
-	for _, g := range col.Snapshot().Gauges {
-		if g.Name == obs.GaugeBroadcastViewers.String() {
-			gv = g.Current
-		}
-	}
-	if gv != nViewers-1 {
-		t.Fatalf("broadcast-viewers gauge = %d, want %d", gv, nViewers-1)
-	}
-	b.Close()
-	if err := srv.Close(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -128,10 +128,11 @@ type (
 	PipelineOption = core.Option
 )
 
-// WithWorkers overlaps NN-L anchor inference with B-frame reconstruction
-// and NN-S refinement on n goroutines (the software analog of the paper's
-// agent unit); n <= 1 keeps the serial decode-order loop. Results are
-// bit-identical for every n.
+// WithWorkers runs B-frame NN-S refinement on n goroutines while NN-L
+// anchor inference and MV reconstruction proceed (the software analog of
+// the paper's agent unit); n <= 1 refines inline. Only NN-S runs on the
+// workers, so detection and unrefined segmentation run on one goroutine at
+// every n. Results are bit-identical for every n.
 func WithWorkers(n int) PipelineOption { return core.WithWorkers(n) }
 
 // Quantized execution tier: NN-S compiled to the arithmetic the modeled
@@ -260,8 +261,7 @@ func NewBatchEngine(cfg BatchConfig) *BatchEngine { return batch.New(cfg) }
 
 // Content-addressed mask sharing: sessions serving bit-identical chunks
 // under the same model configuration share NN-L/NN-S results through one
-// cache, and a broadcast fans one session's decode to many viewers
-// (DESIGN.md §13).
+// cache (DESIGN.md §13).
 type (
 	// ContentCache is the shared content-addressed mask cache; a Server
 	// with ServeConfig.CacheBytes > 0 constructs one internally, or pass a
@@ -273,11 +273,6 @@ type (
 	// ContentKey addresses one cached mask: chunk-bytes digest, display
 	// index within the chunk, and model fingerprint.
 	ContentKey = contentcache.Key
-	// Broadcast is the single-decode fan-out mode: one backing session,
-	// many attached viewers receiving every frame result.
-	Broadcast = serve.Broadcast
-	// BroadcastViewer is one attached consumer of a Broadcast.
-	BroadcastViewer = serve.Viewer
 )
 
 // NewContentCache builds a standalone content-addressed mask cache for
@@ -462,7 +457,7 @@ func NewNetSegmenter(label string, net *FCN) Segmenter {
 }
 
 // NewPipeline builds a VR-DANN pipeline with refinement enabled; pass
-// WithWorkers to enable the overlapped execution mode.
+// WithWorkers to refine B-frames on worker goroutines beside NN-L.
 func NewPipeline(nnl Segmenter, nns *RefineNet, opts ...PipelineOption) *Pipeline {
 	return core.New(nnl, nns, opts...)
 }
